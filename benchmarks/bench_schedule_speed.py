@@ -1,23 +1,22 @@
 """Schedule-compiled throughput: the multi-CPU companion of the 2M-ref
 microbench.
 
-``bench_engine_speed`` measures one giant batch on one CPU -- the shape
-the stateless C kernel already served.  This bench measures the case
-that kernel could *not* serve: a four-CPU tile running communicating
-task chains whose compute ops are a few thousand uncoalesced references
-each -- far below the fast engine's 4096-run C threshold, so the fast
-tier walks them in Python, op by op, through the event kernel.  The
-schedule-compiled tier keeps cache/bank/bus state resident in C and
-flushes whole segments of consecutive deterministic ops per call; the
-gate requires it to hold ``GATE_MIN_SPEEDUP`` x the fast engine's
-throughput on this workload (measured ~3.4x on the reference machine,
-recorded in ``BENCH_schedule.json``), with bit-identical RunMetrics.
+``bench_engine_speed`` measures one giant batch on one CPU.  This bench
+measures a four-CPU tile running communicating task chains whose
+compute ops are a few thousand uncoalesced references each, so the
+per-op cost of the event kernel and the per-call cost of the walker
+matter as much as the walk itself.  The compiled engine keeps
+cache/bank/bus state resident in C and flushes whole segments of
+consecutive deterministic ops per call; the gate requires it to hold
+``GATE_MIN_SPEEDUP`` x the reference engine's throughput on this
+workload (measured 5.7x on a 2-vCPU x86-64 VM, Python 3.11; recorded
+in ``BENCH_schedule.json``), with bit-identical RunMetrics.
 
 Run the gate with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_schedule_speed.py -m perf_smoke
 
-or standalone (measures every engine tier and writes the artifact)::
+or standalone (measures both engines and writes the artifact)::
 
     PYTHONPATH=src python benchmarks/bench_schedule_speed.py
 """
@@ -40,10 +39,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 #: The bench instance: four source -> table-walker -> sink chains on a
 #: four-CPU paper tile.  Each walker op performs ``LOOKUPS``
-#: data-dependent (uncoalesced) table references -- deliberately below
-#: the fast engine's 4096-run C threshold -- and ``BURSTS`` ops run
-#: back-to-back between FIFO synchronisations, the segment shape the
-#: compiled tier batches into single C calls.
+#: data-dependent (uncoalesced) table references, and ``BURSTS`` ops
+#: run back-to-back between FIFO synchronisations, the segment shape
+#: the compiled engine batches into single C calls.
 N_CHAINS = 4
 N_CPUS = 4
 N_TOKENS = 48
@@ -51,10 +49,10 @@ BURSTS = 4
 LOOKUPS = 3000
 TABLE_BYTES = 192 * 1024
 
-#: The perf_smoke gate fails when the compiled tier drops below this
-#: multiple of the fast engine (locally ~3.4x; the margin absorbs CI
-#: machine noise).
-GATE_MIN_SPEEDUP = 2.5
+#: The perf_smoke gate fails when the compiled engine drops below this
+#: multiple of the reference engine (measured 5.7x; the margin absorbs
+#: CI machine noise).
+GATE_MIN_SPEEDUP = 3.6
 
 
 def _walker_program(ctx):
@@ -156,13 +154,13 @@ def _collect(engines, n_tokens: int = N_TOKENS) -> dict:
         "python": platform_mod.python_version(),
         "runs": runs,
     }
-    if "fast" in by_engine and "compiled" in by_engine:
-        report["compiled_speedup_vs_fast"] = round(
+    if "reference" in by_engine and "compiled" in by_engine:
+        report["compiled_speedup_vs_reference"] = round(
             by_engine["compiled"]["instructions_per_sec"]
-            / by_engine["fast"]["instructions_per_sec"], 2,
+            / by_engine["reference"]["instructions_per_sec"], 2,
         )
         report["kernel_events_saved"] = (
-            by_engine["fast"]["kernel_events"]
+            by_engine["reference"]["kernel_events"]
             - by_engine["compiled"]["kernel_events"]
         )
     return report
@@ -178,15 +176,17 @@ def write_schedule_artifact(report: dict) -> Path:
 
 @pytest.mark.perf_smoke
 def test_schedule_speed_gate():
-    """Compiled tier must hold >= GATE_MIN_SPEEDUP x the fast engine
-    on the multi-CPU schedule bench (bit-identical metrics asserted)."""
+    """Compiled engine must hold >= GATE_MIN_SPEEDUP x the reference
+    engine on the multi-CPU schedule bench (bit-identical metrics
+    asserted)."""
     if cwalker.load() is None:
-        pytest.skip("no C compiler: the compiled tier degrades to fast")
-    report = _collect(["fast", "compiled"])
+        pytest.skip("no C compiler: the compiled engine degrades to "
+                    "the reference walk")
+    report = _collect(["reference", "compiled"])
     write_schedule_artifact(report)
-    speedup = report["compiled_speedup_vs_fast"]
+    speedup = report["compiled_speedup_vs_reference"]
     assert speedup >= GATE_MIN_SPEEDUP, (
-        f"schedule-compiled tier regressed: {speedup}x over the fast "
+        f"compiled engine regressed: {speedup}x over the reference "
         f"engine is below the {GATE_MIN_SPEEDUP}x gate "
         f"({json.dumps(report['runs'], indent=2)})"
     )
@@ -196,11 +196,11 @@ def test_schedule_speed_gate():
 def test_schedule_engines_identical_metrics():
     """The bench workload itself must see bit-identical engine metrics
     (including the reference oracle, on a reduced token count)."""
-    _collect(["reference", "fast", "compiled"], n_tokens=8)
+    _collect(["reference", "compiled"], n_tokens=8)
 
 
 if __name__ == "__main__":
-    report = _collect(["reference", "fast", "compiled"])
+    report = _collect(["reference", "compiled"])
     path = write_schedule_artifact(report)
     print(json.dumps(report, indent=2))
     print(f"artifact: {path}")

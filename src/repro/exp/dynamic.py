@@ -22,8 +22,8 @@ The engine composes three pieces:
    :class:`~repro.sim.kernel.Replan` event: it is queued up front, so
    the compiled engine's whole-schedule segments are bounded by it
    (``Simulator.peek()``), and it fires at URGENT priority, so every op
-   at or after the transition time sees the new partition maps on all
-   three engines.  Map mutations go through
+   at or after the transition time sees the new partition maps on both
+   engines.  Map mutations go through
    :class:`~repro.rtos.cachectl.CacheController`, which quiesces the
    compiled tier, and departures flush only the leavers
    (:meth:`~repro.mem.hierarchy.MemorySystem.repartition_owners`) with
@@ -671,7 +671,7 @@ class DynamicScenario:
         for spec in self.transitions:
             # Queued now, before the run starts: Simulator.peek() then
             # bounds every compiled whole-schedule segment at the
-            # transition time, on all three engines identically.
+            # transition time, on both engines identically.
             self.platform.sim.schedule_replan(
                 spec.at, lambda spec=spec: self._on_transition(spec)
             )

@@ -664,9 +664,14 @@ class AsyncBackend(ExecutionBackend):
             )
             host.start()
             gate = asyncio.Semaphore(self.concurrency)
+            abandoned = threading.Event()
 
             async def one(task: Dict[str, Any]) -> Dict[str, Any]:
                 async with gate:
+                    # Cancellation races the gate: a waiter woken just
+                    # before its cancel lands must not start either.
+                    if abandoned.is_set():
+                        raise asyncio.CancelledError
                     return await self._dispatch(worker, task)
 
             futures = [
@@ -680,6 +685,7 @@ class AsyncBackend(ExecutionBackend):
                 # On failure (or abandonment): cancel what has not
                 # started, drain what has, then retire the loop -- no
                 # pending-task warnings, no leaked threads.
+                abandoned.set()
                 for future in futures:
                     future.cancel()
                 for future in futures:

@@ -1,25 +1,17 @@
-/* Fast hierarchy walker: the L1/L2 walk of repro.mem.hierarchy in C.
+/* Compiled hierarchy walker: the L1/L2 walk of repro.mem.hierarchy in C.
  *
  * Compiled on demand by repro.mem.cwalker with the system C compiler
- * and loaded through ctypes; when no compiler is available the Python
- * walker in hierarchy.py runs instead.  Two entry tiers live here,
- * sharing ONE replay body (`walk_entry_runs`):
+ * and loaded through ctypes; when no compiler is available the
+ * compiled engine runs the reference walk in hierarchy.py instead (and
+ * warns).  `walker_state_new` builds a persistent state handle that
+ * keeps the L1s of every CPU, the shared L2 (set-associative LRU/FIFO
+ * *or* the way-managed column cache), the DRAM bank timers and the
+ * shared-bus demand model resident in C between calls, so batches of
+ * any size -- and whole schedule segments of consecutive deterministic
+ * ops, via `walk_segment` -- run without re-marshalling.
  *
- * - `walk_batch`: the stateless per-batch kernel of the fast engine.
- *   Cache state arrives flattened per call and is marshalled back
- *   afterwards -- economical only above a batch-size threshold.  It is
- *   a thin wrapper that builds a stack-local walker_state over its
- *   arguments and runs the shared body once.
- * - `walker_state_new` / `walk_segment`: the schedule-compiled tier.
- *   A persistent state handle keeps the L1s of every CPU, the shared
- *   L2 (set-associative LRU/FIFO *or* the way-managed column cache),
- *   the DRAM bank timers and the shared-bus demand model resident in C
- *   between calls, so batches of any size -- and whole schedule
- *   segments of consecutive deterministic ops -- run without
- *   re-marshalling.
- *
- * The replay body executes, run by run, exactly the state sequence of
- * the reference engine:
+ * The replay body (`walk_entry_runs`) executes, run by run, exactly
+ * the state sequence of the reference engine:
  *
  *   L1 probe -> (miss) L1 fill + eviction -> dirty-victim writeback
  *   probe into the L2 -> L2 probe (demand or store fill) -> L2 fill +
@@ -112,10 +104,9 @@ static inline int bank_touch(double *bank_free, int64_t bank, double now,
     return conflict;
 }
 
-/* The whole memory system as flat state.  The persistent-handle tier
- * mallocs one and keeps it across calls (the pointers reference
- * numpy-owned arrays the Python side keeps alive); `walk_batch` builds
- * a throwaway one on the stack per call. */
+/* The whole memory system as flat state.  `walker_state_new` mallocs
+ * one and the handle keeps it across calls (the pointers reference
+ * numpy-owned arrays the Python side keeps alive). */
 typedef struct {
     int64_t n_cpus;
     int64_t l1_sets, l1_ways;
@@ -158,8 +149,8 @@ typedef struct {
  * state.  The L1 is selected by cpu id; l2_mode picks the
  * set-associative LRU/FIFO walk or the way-managed column cache (hit
  * on any way, allocate only into the owner's columns, LRU by global
- * stamp).  Both the stateless batch kernel and the segment walker call
- * this -- there is exactly one copy of the replay semantics in C. */
+ * stamp).  The segment walker calls this once per entry with memory
+ * traffic -- there is exactly one copy of the replay semantics in C. */
 static void walk_entry_runs(
     walker_state *st, int64_t cpu, int64_t start, int64_t end,
     const int64_t *lines, const int64_t *l1_idx, const int64_t *l2_idx,
@@ -389,74 +380,15 @@ static void walk_entry_runs(
     }
 }
 
-/* The stateless per-batch kernel of the fast engine: one shot of the
- * shared replay body over a stack-local state built from the caller's
- * flattened single-L1, set-associative-L2 arrays. */
-void walk_batch(
-    int64_t n_runs,
-    const int64_t *lines, const int64_t *l1_idx, const int64_t *l2_idx,
-    const uint8_t *write_any, const uint8_t *store_fill,
-    /* L1 state (always LRU) */
-    int64_t l1_ways,
-    int64_t *l1_lines, int64_t *l1_owners, uint8_t *l1_dirty,
-    int32_t *l1_len,
-    /* L2 state */
-    int64_t l2_ways, int64_t l2_is_lru,
-    int64_t *l2_lines, int64_t *l2_owners, uint8_t *l2_dirty,
-    int32_t *l2_len,
-    const int64_t *run_owners,
-    /* writeback index translation: owner -> set group.  With
-     * use_table == 0 the conventional mask applies; otherwise owner o
-     * uses row min(o, n_table) (row n_table is the default mapping). */
-    int64_t use_table, int64_t n_table,
-    const int64_t *table_base, const int64_t *table_size,
-    const uint8_t *table_pow2,
-    int64_t l2_mask,
-    /* DRAM banks */
-    double now, int64_t bank_mask, int64_t bank_busy, double *bank_free,
-    /* outputs */
-    uint8_t *flags, int64_t *l1_victim_owner, int64_t *l2_victim_owner,
-    int64_t *counters)
-{
-    walker_state st;
-    entry_tally tally = {0, 0, 0, 0, 0, 0, 0};
-    memset(&st, 0, sizeof st);
-    st.n_cpus = 1;
-    st.l1_ways = l1_ways;       /* l1_sets stays 0: cpu 0 offset is 0 */
-    st.l1_lines = l1_lines;
-    st.l1_owners = l1_owners;
-    st.l1_dirty = l1_dirty;
-    st.l1_len = l1_len;
-    st.l2_ways = l2_ways;
-    st.l2_mode = l2_is_lru ? L2_MODE_LRU : L2_MODE_FIFO;
-    st.l2_mask = l2_mask;
-    st.l2_lines = l2_lines;
-    st.l2_owners = l2_owners;
-    st.l2_dirty = l2_dirty;
-    st.l2_len = l2_len;
-    st.bank_mask = bank_mask;
-    st.bank_busy = bank_busy;
-    st.bank_free = bank_free;
-    walk_entry_runs(
-        &st, 0, 0, n_runs,
-        lines, l1_idx, l2_idx, write_any, store_fill, run_owners,
-        use_table, n_table, table_base, table_size, table_pow2,
-        NULL, 0, now,
-        flags, l1_victim_owner, l2_victim_owner, &tally);
-    counters[0] = tally.dram_writes;
-    counters[1] = tally.read_conflicts;
-    counters[2] = tally.write_conflicts;
-}
-
 /* ====================================================================
- * Schedule-compiled tier: persistent state handle + whole-segment walk
+ * Persistent state handle + whole-segment walk
  * ====================================================================
  *
  * A walker_state aggregates pointers into numpy-owned arrays (the
  * Python side keeps them alive for the handle's lifetime) plus the
  * scalar model parameters.  Nothing is copied: the arrays ARE the
- * authoritative cache/bank/bus state between calls, which is what
- * removes the per-batch marshalling cost of `walk_batch`.
+ * authoritative cache/bank/bus state between calls, so no call pays a
+ * per-batch marshalling cost.
  *
  * `walk_segment` executes an ordered sequence of schedule entries --
  * compute batches, pure delays, context-switch traffic -- advancing a

@@ -1,13 +1,14 @@
-"""On-demand C backend of the fast hierarchy engine.
+"""On-demand C backend of the compiled hierarchy engine.
 
 The per-run walk of :mod:`repro.mem.hierarchy` is bound by the
 interpreter, not by the data structures -- even a fully inlined Python
 loop costs a couple of microseconds per run.  This module compiles the
-equivalent C routine (``_walker.c``, shipped next to this file) with the
-system compiler the first time it is needed and binds it through
-:mod:`ctypes`.  Everything degrades gracefully: no compiler, a failed
-compilation or an unwritable build directory simply mean
-:func:`load` returns ``None`` and the Python walker runs.
+equivalent C routines (``_walker.c``, shipped next to this file) with
+the system compiler the first time they are needed and binds them
+through :mod:`ctypes`.  No compiler, a failed compilation or an
+unwritable build directory simply mean :func:`load` returns ``None``;
+the compiled engine then runs the reference walk and says so with a
+:class:`RuntimeWarning`.
 
 The compiled object is cached under ``<package>/_build/`` keyed by the
 source content hash, so recompilation happens only when ``_walker.c``
@@ -98,15 +99,13 @@ L2_MODE_WAY = 2
 class CWalker:
     """Bound routines of the compiled walker library.
 
-    ``walk_batch`` / ``first_occurrence`` serve the stateless fast
-    tier; ``state_new`` / ``state_free`` / ``walk_segment`` are the
-    schedule-compiled tier's persistent-handle API (see
-    :mod:`repro.mem.hierarchy`).
+    ``state_new`` / ``state_free`` / ``walk_segment`` are the compiled
+    engine's persistent-handle API (see :mod:`repro.mem.hierarchy`);
+    ``first_occurrence`` serves its cold-miss classification.
     """
 
-    def __init__(self, walk_batch, first_occurrence,
-                 state_new, state_free, walk_segment):
-        self.walk_batch = walk_batch
+    def __init__(self, first_occurrence, state_new, state_free,
+                 walk_segment):
         self.first_occurrence = first_occurrence
         self.state_new = state_new
         self.state_free = state_free
@@ -117,21 +116,17 @@ def load() -> Optional[CWalker]:
     """The bound :class:`CWalker`, or ``None`` when unavailable.
 
     The first call pays the (cached) compilation; later calls return
-    the memoised binding.  Set ``REPRO_NO_CWALKER=1`` to force the pure
-    Python engine, e.g. for benchmarking the interpreter tiers.
+    the memoised binding.
     """
     global _walker, _load_attempted
     if _load_attempted:
         return _walker
     _load_attempted = True
-    if os.environ.get("REPRO_NO_CWALKER"):
-        return None
     so_path = _compile()
     if so_path is None:
         return None
     try:
         lib = ctypes.CDLL(so_path)
-        walk = lib.walk_batch
         first = lib.first_occurrence
         state_new = lib.walker_state_new
         state_free = lib.walker_state_free
@@ -140,27 +135,6 @@ def load() -> Optional[CWalker]:
         return None
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_u8 = ctypes.POINTER(ctypes.c_uint8)
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    walk.restype = None
-    walk.argtypes = [
-        i64,                      # n_runs
-        p_i64, p_i64, p_i64,      # lines, l1_idx, l2_idx
-        p_u8, p_u8,               # write_any, store_fill
-        i64,                      # l1_ways
-        p_i64, p_i64, p_u8, p_i32,  # L1 lines/owners/dirty/len
-        i64, i64,                 # l2_ways, l2_is_lru
-        p_i64, p_i64, p_u8, p_i32,  # L2 lines/owners/dirty/len
-        p_i64,                    # run_owners
-        i64, i64,                 # use_table, n_table
-        p_i64, p_i64, p_u8,       # table base/size/pow2
-        i64,                      # l2_mask
-        ctypes.c_double, i64, i64, p_f64,  # now, bank_mask, bank_busy, banks
-        p_u8, p_i64, p_i64,       # flags, l1_victim_owner, l2_victim_owner
-        p_i64,                    # counters[3]
-    ]
     first.restype = ctypes.c_int
     first.argtypes = [ctypes.c_void_p, i64, ctypes.c_void_p]
     # Pointer arguments are declared as c_void_p and passed as raw
@@ -204,5 +178,5 @@ def load() -> Optional[CWalker]:
         ptr, ptr, ptr,              # per-entry dram_lines/bus/store_fills
         ptr,                        # counters[3]
     ]
-    _walker = CWalker(walk, first, state_new, state_free, segment)
+    _walker = CWalker(first, state_new, state_free, segment)
     return _walker

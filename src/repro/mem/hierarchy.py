@@ -18,45 +18,37 @@ per run, with the run length counted as accesses.  L1 and L2 must share
 a line size for the run semantics to be exact; the constructor enforces
 this.
 
-Three engines implement the walk:
+Two engines implement the walk:
 
 - ``engine="reference"`` -- one method call per run into the cache
   models.  Slow but obviously faithful; it is the differential-testing
   oracle.
-- ``engine="fast"`` (the default) -- vectorises everything that does
-  not depend on cache state (owner resolution, L1/L2 set indices, the
-  run decomposition itself), walks the runs with the cache and DRAM
-  state inlined as local dicts/lists, and defers all per-owner
-  statistics to a batched ``bincount`` flush after the walk.  Pure
-  L1-hit runs cost a single dict probe; only L1-miss runs enter the
-  larger slow path.  Batches above :data:`_C_WALK_THRESHOLD` runs go
-  through the stateless C kernel, which marshals the full cache state
-  per call.
-- ``engine="compiled"`` -- the schedule-compiled tier.  A persistent
-  C-side state handle (:class:`_CompiledState`) keeps every L1, the
-  shared L2 (including the way-partitioned column cache), the DRAM
-  bank timers and the bus demand model resident between calls, so
-  batches of *any* size run in C, and :meth:`MemorySystem.
-  execute_segment` prices a whole ordered schedule segment --
-  ``(cpu, owner, batch)`` entries plus delays and context-switch
-  traffic -- in a single C call.  Degrades to ``fast`` when no C
-  compiler is available.
+- ``engine="compiled"`` (the default) -- a persistent C-side state
+  handle (:class:`_CompiledState`) keeps every L1, the shared L2
+  (including the way-partitioned column cache), the DRAM bank timers
+  and the bus demand model resident between calls, so batches of any
+  size run in C, and :meth:`MemorySystem.execute_segment` prices a
+  whole ordered schedule segment -- ``(cpu, owner, batch)`` entries
+  plus delays and context-switch traffic -- in a single C call.  Owner
+  resolution and set indices are vectorised with numpy beforehand, and
+  all per-owner statistics are reduced from the walk's per-run flags
+  in one ``bincount`` flush afterwards.
 
-All engines produce bit-identical statistics, which the differential
-test suite asserts.  The fast and compiled engines silently fall back
-for the rare configurations they do not specialise: a ``random`` L2
-stays in the Python fast walker (which replays the reference RNG
-stream draw for draw), and a negative owner id degrades the system to
-the reference walk for good -- the owner registry never produces one,
-and once such lines are resident their evictions would poison the
-vectorised statistics flush.
+Both engines produce bit-identical statistics, which the differential
+test suite asserts.  The compiled engine runs the reference walk, and
+says so once with a :class:`RuntimeWarning`, when it cannot run in C:
+no C walker could be built, the L2 uses ``random`` replacement (the
+reference walk owns the RNG stream), or a batch resolves a negative
+owner id.  The last degradation is permanent for the system -- the
+owner registry never produces such ids, and once such lines are
+resident their evictions would poison the vectorised statistics flush.
 """
 
 from __future__ import annotations
 
 import ctypes
-import gc
 import math
+import warnings
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -77,10 +69,6 @@ from repro.mem.partition import (
 from repro.mem.trace import AccessBatch
 
 __all__ = ["BatchResult", "HierarchyConfig", "MemorySystem", "SegmentEntry"]
-
-#: Below this many runs the per-batch cache-state marshalling of the C
-#: walker costs more than the Python walk it saves.
-_C_WALK_THRESHOLD = 4096
 
 #: Shared empty owner list for the no-event stats flush.
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -103,13 +91,12 @@ class HierarchyConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     bus: BusConfig = field(default_factory=BusConfig)
     l2_policy: str = "lru"
-    #: ``"fast"`` (vectorised walker, the default), ``"reference"``
-    #: (per-run method calls; the differential-testing oracle) or
-    #: ``"compiled"`` (persistent C state + whole-segment batches; see
-    #: the module docstring).
-    engine: str = "fast"
+    #: ``"compiled"`` (persistent C state + whole-segment batches, the
+    #: default) or ``"reference"`` (per-run method calls; the
+    #: differential-testing oracle).  See the module docstring.
+    engine: str = "compiled"
 
-    ENGINES = ("reference", "fast", "compiled")
+    ENGINES = ("reference", "compiled")
 
     def __post_init__(self) -> None:
         if self.l1_geometry.line_size != self.l2_geometry.line_size:
@@ -218,7 +205,7 @@ class _CompiledState:
     dict/list view (repartitioning, tests, diagnostics).  Per-owner
     statistics stay on the Python side -- the segment walk emits
     per-run flags that :meth:`MemorySystem.execute_segment` reduces
-    with the same bincount flush the fast engine uses.
+    with one bincount flush per segment.
     """
 
     def __init__(self, mem: "MemorySystem", walker):
@@ -387,10 +374,6 @@ class _CompiledState:
 class MemorySystem:
     """L1s + shared L2 + bus + DRAM for an ``n_cpus`` tile."""
 
-    #: Minimum batch size (in runs) for the compiled walker; overridable
-    #: per instance (tests pin it to force or forbid the C path).
-    c_walk_threshold = _C_WALK_THRESHOLD
-
     def __init__(
         self,
         n_cpus: int,
@@ -421,14 +404,9 @@ class MemorySystem:
         self.way_map = WayPartitionMap(config.l2_geometry.ways)
         self.memory = MainMemory(config.dram)
         self.bus = SharedBus(config.bus, n_cpus=n_cpus)
-        # The fast walker inlines victim selection for every policy
-        # (random replays the reference RNG stream); "compiled" runs the
-        # same walk when its C tier is unavailable.
-        self._fast = config.engine in ("fast", "compiled")
         #: Lazily built persistent C state (engine="compiled" only).
         self._compiled: Optional[_CompiledState] = None
         self._compiled_wanted = config.engine == "compiled"
-        self._compiled_failed = False
         #: (version, table) memo of the dense set-translation table.
         self._set_table_memo: Optional[tuple] = None
         #: (version, table) memo of the way-allocation table.
@@ -478,7 +456,7 @@ class MemorySystem:
         Syncs compiled-tier state down into the Python models and drops
         the C handle, so the mutation starts from (and the next
         compiled call re-exports) an up-to-date view.  Idempotent, and
-        a no-op on the pure-Python engines.  Every map-mutating path in
+        a no-op on the reference engine.  Every map-mutating path in
         :class:`~repro.rtos.cachectl.CacheController` calls this: a
         partition change against a *stale* Python view would silently
         diverge the compiled engine from the reference.
@@ -536,25 +514,38 @@ class MemorySystem:
     def _compiled_state(self) -> Optional[_CompiledState]:
         """The live persistent C state, (re)built on demand.
 
-        ``None`` when the engine is not "compiled", no C toolchain is
-        available, or the L2 policy is ``random`` (the RNG replay stays
-        in the Python fast walker).
+        ``None`` when the engine is "reference" or the compiled engine
+        has degraded to the reference walk (see :meth:`_degrade`).
         """
-        if not self._compiled_wanted or self._compiled_failed:
+        if self._compiled is not None:
+            return self._compiled
+        if not self._compiled_wanted:
             return None
         if self.l2 is not None and self.l2.policy == "random":
-            return None
-        if self._compiled is None:
-            walker = cwalker.load()
-            if walker is None:
-                self._compiled_failed = True
-                return None
-            try:
-                self._compiled = _CompiledState(self, walker)
-            except MemoryError:
-                self._compiled_failed = True
-                return None
+            return self._degrade("the L2 uses random replacement, whose "
+                                 "RNG stream only the reference walk draws")
+        walker = cwalker.load()
+        if walker is None:
+            return self._degrade("no C walker is available (no C compiler, "
+                                 "or the build failed)")
+        try:
+            self._compiled = _CompiledState(self, walker)
+        except MemoryError:
+            return self._degrade("the C walker state could not be allocated")
         return self._compiled
+
+    def _degrade(self, reason: str) -> None:
+        """Switch this system to the reference walk for good, loudly.
+
+        The results stay bit-identical (the reference walk is the
+        oracle); only the speed changes, so the switch is reported once
+        per system as a :class:`RuntimeWarning`.
+        """
+        self._compiled_wanted = False
+        warnings.warn(
+            f"engine='compiled' is running the reference walk: {reason}",
+            RuntimeWarning,
+        )
 
     @property
     def segment_ready(self) -> bool:
@@ -562,9 +553,9 @@ class MemorySystem:
 
         The schedule collector in :mod:`repro.cake.processor` gates on
         this: with the compiled tier down, the per-op event loop is not
-        slower than the Python fallback segment walk.
+        slower than the sequential fallback segment walk.
         """
-        return self._compiled_wanted and self._compiled_state() is not None
+        return self._compiled_state() is not None
 
     def _set_translation_table(self):
         """Dense owner -> set-group table for the C walkers (memoized).
@@ -645,8 +636,6 @@ class MemorySystem:
             )
             if outcome is not None:
                 return outcome[1][0]
-        if self._fast:
-            return self._execute_batch_fast(cpu_id, task_owner, batch, now)
         return self._execute_batch_reference(cpu_id, task_owner, batch, now)
 
     def execute_segment(
@@ -816,8 +805,7 @@ class MemorySystem:
                 # arrays.
                 self.sync_state()
                 self._drop_compiled()
-                self._compiled_failed = True
-                self._fast = False
+                self._degrade("a batch resolved a negative owner id")
                 return None
             l1_idx_arr = lines_arr & l1_mask
             if set_partitioned:
@@ -909,11 +897,10 @@ class MemorySystem:
     ) -> None:
         """Reduce the segment's per-run flags into the Python stats.
 
-        The same bincount flush as the fast engine, applied once per
-        segment: L1 accounting per CPU present in the completed
-        entries, L2 accounting over all completed runs, cold misses by
-        batch-first occurrence against the seen-sets, DRAM traffic from
-        the C counters.
+        One bincount flush per segment: L1 accounting per CPU present
+        in the completed entries, L2 accounting over all completed runs,
+        cold misses by batch-first occurrence against the seen-sets,
+        DRAM traffic from the C counters.
         """
         run_end = int(ends[n_done - 1]) if n_done else 0
         traffic = self.memory.traffic
@@ -1113,510 +1100,6 @@ class MemorySystem:
         )
         return result
 
-    def _execute_batch_fast(
-        self, cpu_id: int, task_owner: int, batch: AccessBatch, now: float
-    ) -> BatchResult:
-        """Vectorised walk producing bit-identical statistics.
-
-        Per-run work that does not depend on cache state -- owner
-        resolution, L1/L2 set indices -- is precomputed with numpy and
-        materialised as plain Python lists (scalar indexing into numpy
-        arrays is an order of magnitude slower than list indexing).  The
-        walk itself touches the caches' internal dicts/lists directly
-        through local bindings, records outcomes as run indices and
-        event tuples, and flushes all per-owner statistics in one
-        ``bincount`` pass at the end.  State mutations (cache contents,
-        DRAM bank timing) happen in exactly the reference order, so
-        every counter and every timing quantity matches the oracle.
-        """
-        config = self.config
-        result = BatchResult(
-            instructions=batch.instructions, accesses=batch.n_accesses
-        )
-        line_shift = config.l1_geometry.line_shift
-        line_arr, count_arr, wany_arr, wall_arr = batch.runs(line_shift)
-        n_runs = int(line_arr.shape[0])
-        if n_runs == 0:
-            result.cycles = int(round(batch.instructions * config.issue_cpi))
-            return result
-
-        owners_arr = self.resolver.resolve_many(
-            line_arr << line_shift, task_owner
-        )
-        if int(owners_arr.min()) < 0:
-            # Negative owner ids would break the bincount flush; the
-            # registry never produces them, so degrade to the oracle
-            # path -- *stickily*: once such lines are resident, any
-            # later eviction would feed their owner into the flush.
-            self._fast = False
-            return self._execute_batch_reference(
-                cpu_id, task_owner, batch, now
-            )
-
-        l1 = self.l1s[cpu_id]
-        l1_mask = config.l1_geometry.index_mask
-        l2_mask = config.l2_geometry.index_mask
-        full_line_count = config.l1_geometry.line_size // 4
-        l2_hit_cycles = config.l2_hit_cycles
-        mode = self.mode
-        way_partitioned = mode is PartitionMode.WAY_PARTITIONED
-        set_partitioned = mode is PartitionMode.SET_PARTITIONED
-        map_index = self.set_map.map_index
-
-        if set_partitioned:
-            l2_idx_arr = self.set_map.map_index_many(owners_arr, line_arr)
-        elif way_partitioned:
-            l2_idx_arr = None
-        else:
-            l2_idx_arr = line_arr & l2_mask
-
-        l2_random = self.l2 is not None and self.l2.policy == "random"
-        if (not way_partitioned and not l2_random
-                and n_runs >= self.c_walk_threshold):
-            walker = cwalker.load()
-            if walker is not None:
-                return self._execute_batch_fast_c(
-                    walker, cpu_id, result, now,
-                    line_arr, count_arr, wany_arr, wall_arr,
-                    owners_arr, l2_idx_arr,
-                )
-
-        l2_idx_list = (
-            l2_idx_arr.tolist() if not way_partitioned else None
-        )
-        l1_idx_list = (line_arr & l1_mask).tolist()
-        lines_list = line_arr.tolist()
-        counts_list = count_arr.tolist()
-        wany_list = wany_arr.tolist()
-        wall_list = wall_arr.tolist()
-        owners_list = owners_arr.tolist()
-
-        # L1 internals as locals (the L1s are always LRU).
-        l1_sets = l1._sets
-        l1_where = l1._where
-        l1_where_get = l1_where.get
-        l1_owner_of = l1._owner_of
-        l1_dirty = l1._dirty
-        l1_dirty_add = l1_dirty.add
-        l1_seen = l1._seen
-        l1_seen_add = l1_seen.add
-        l1_ways = l1.geometry.ways
-
-        if way_partitioned:
-            l2_way = self.l2_way
-            l2_way_probe = l2_way.probe_writeback
-            ways_of = self.way_map.ways_of
-        else:
-            l2 = self.l2
-            l2_sets = l2._sets
-            l2_where = l2._where
-            l2_where_get = l2_where.get
-            l2_owner_of = l2._owner_of
-            l2_dirty = l2._dirty
-            l2_dirty_add = l2_dirty.add
-            l2_seen = l2._seen
-            l2_seen_add = l2_seen.add
-            l2_ways = l2.geometry.ways
-            l2_lru = l2.policy == "lru"
-            # Random replacement replays the reference RNG stream: one
-            # draw per eviction, in eviction order, over a same-order
-            # recency list -- so the victims (and the generator state)
-            # match the oracle draw for draw.
-            l2_rng_integers = l2._rng.integers if l2_random else None
-
-        # DRAM bank model inlined (same dict, same update order).
-        dram = self.memory.config
-        bank_mask = dram.n_banks - 1
-        bank_busy = dram.bank_busy_cycles
-        bank_free = self.memory._bank_free_at
-        bank_free_get = bank_free.get
-        dram_writes = 0
-        write_conflicts = 0
-        read_conflicts = 0
-        way_dram_lines = 0
-        way_stall = 0
-
-        # Outcome recorders: owner-id lists the flush reduces with
-        # bincount.  Everything else is derived from their lengths.
-        l1_miss_owners: List[int] = []
-        l1_miss_append = l1_miss_owners.append
-        l1_cold_owners: List[int] = []
-        l1_evictor_owners: List[int] = []
-        l1_victim_owners: List[int] = []
-        l1_wb_owners: List[int] = []
-        l2_miss_owners: List[int] = []
-        l2_cold_owners: List[int] = []
-        l2_evictor_owners: List[int] = []
-        l2_victim_owners: List[int] = []
-        l2_wb_owners: List[int] = []
-        store_fills = 0
-
-        # The recorder lists retain millions of objects on big batches;
-        # with the generational GC enabled, every full collection walks
-        # them again and dominates the runtime.  Nothing in the walk can
-        # create reference cycles, so pause collection for its duration.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            for i, line in enumerate(lines_list):
-                si = l1_idx_list[i]
-                # -- L1 probe: one dict lookup --------------------------
-                if l1_where_get(line) == si:
-                    slist = l1_sets[si]
-                    if slist[0] != line:
-                        slist.remove(line)
-                        slist.insert(0, line)
-                    if wany_list[i]:
-                        l1_dirty_add(line)
-                    continue
-
-                # -- L1 miss --------------------------------------------
-                write = wany_list[i]
-                owner = owners_list[i]
-                l1_miss_append(owner)
-                if line not in l1_seen:
-                    l1_cold_owners.append(owner)
-                    l1_seen_add(line)
-                slist = l1_sets[si]
-                wb_line = None
-                if len(slist) >= l1_ways:
-                    victim = slist.pop()
-                    del l1_where[victim]
-                    victim_owner = l1_owner_of.pop(victim)
-                    if victim in l1_dirty:
-                        l1_dirty.remove(victim)
-                        l1_wb_owners.append(victim_owner)
-                        wb_line = victim
-                        wb_owner = victim_owner
-                    l1_evictor_owners.append(owner)
-                    l1_victim_owners.append(victim_owner)
-                slist.insert(0, line)
-                l1_where[line] = si
-                l1_owner_of[line] = owner
-                if write:
-                    l1_dirty_add(line)
-
-                # -- dirty L1 victim written back through the L2 --------
-                if wb_line is not None:
-                    if way_partitioned:
-                        wb_hit = l2_way_probe(
-                            wb_line, wb_line & l2_mask, wb_owner
-                        )
-                    else:
-                        if set_partitioned:
-                            wb_index = map_index(wb_owner, wb_line)
-                        else:
-                            wb_index = wb_line & l2_mask
-                        if l2_where_get(wb_line) == wb_index:
-                            l2_dirty_add(wb_line)
-                            wb_hit = True
-                        else:
-                            wb_hit = False
-                    if not wb_hit:
-                        bank = wb_line & bank_mask
-                        free_at = bank_free_get(bank, 0.0)
-                        if now < free_at:
-                            write_conflicts += 1
-                        bank_free[bank] = (
-                            free_at if free_at > now else now
-                        ) + bank_busy
-                        dram_writes += 1
-
-                store_fill = (
-                    wall_list[i] and counts_list[i] >= full_line_count
-                )
-                if store_fill:
-                    store_fills += 1
-
-                # -- way-partitioned L2: reference method path ----------
-                if way_partitioned:
-                    if store_fill:
-                        self._l2_store_fill(
-                            line, owner, l2_mask, False, True,
-                            map_index, ways_of, now, result,
-                        )
-                        continue
-                    l2_hit = self._l2_access(
-                        line, owner, write, l2_mask, False, True,
-                        map_index, ways_of, now, result,
-                    )
-                    way_stall += l2_hit_cycles
-                    if not l2_hit:
-                        way_stall += self.memory.access(line, False, now)
-                        way_dram_lines += 1
-                    continue
-
-                # -- set-associative L2, inlined ------------------------
-                l2i = l2_idx_list[i]
-                if l2_where_get(line) == l2i:
-                    slist2 = l2_sets[l2i]
-                    if l2_lru and slist2[0] != line:
-                        slist2.remove(line)
-                        slist2.insert(0, line)
-                    if write:
-                        l2_dirty_add(line)
-                    continue
-
-                # L2 miss (store fills allocate, but are not demand
-                # misses and fetch nothing).
-                if line not in l2_seen:
-                    if not store_fill:
-                        l2_cold_owners.append(owner)
-                    l2_seen_add(line)
-                if not store_fill:
-                    l2_miss_owners.append(owner)
-                slist2 = l2_sets[l2i]
-                if len(slist2) >= l2_ways:
-                    if l2_rng_integers is not None:
-                        victim = slist2.pop(
-                            int(l2_rng_integers(len(slist2)))
-                        )
-                    else:
-                        victim = slist2.pop()
-                    del l2_where[victim]
-                    victim_owner = l2_owner_of.pop(victim)
-                    l2_evictor_owners.append(owner)
-                    l2_victim_owners.append(victim_owner)
-                    if victim in l2_dirty:
-                        l2_dirty.remove(victim)
-                        l2_wb_owners.append(victim_owner)
-                        bank = victim & bank_mask
-                        free_at = bank_free_get(bank, 0.0)
-                        if now < free_at:
-                            write_conflicts += 1
-                        bank_free[bank] = (
-                            free_at if free_at > now else now
-                        ) + bank_busy
-                        dram_writes += 1
-                slist2.insert(0, line)
-                l2_where[line] = l2i
-                l2_owner_of[line] = owner
-                if write:
-                    l2_dirty_add(line)
-                if store_fill:
-                    continue
-                # Demand miss: the DRAM fetch (bank state now, latency
-                # derived in the flush below).
-                bank = line & bank_mask
-                free_at = bank_free_get(bank, 0.0)
-                if now < free_at:
-                    read_conflicts += 1
-                bank_free[bank] = (
-                    free_at if free_at > now else now
-                ) + bank_busy
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        # -- batched statistics and counter flush ----------------------
-        #
-        # Everything below is a pure function of the recorders: stall
-        # cycles are ``l2_hit_cycles`` per demand probe plus the DRAM
-        # base latency per read plus the bank penalty per read conflict
-        # -- term for term what the reference walk accumulates.
-        l1_misses = len(l1_miss_owners)
-        _flush_weighted_stats(
-            l1.stats, owners_arr, count_arr,
-            l1_miss_owners, l1_cold_owners,
-            l1_evictor_owners, l1_victim_owners, l1_wb_owners,
-        )
-        traffic = self.memory.traffic
-        if way_partitioned:
-            stall = way_stall
-            dram_lines = way_dram_lines + dram_writes
-        else:
-            _flush_probe_stats(
-                self.l2.stats,
-                l1_miss_owners, l2_miss_owners, l2_cold_owners,
-                l2_evictor_owners, l2_victim_owners, l2_wb_owners,
-            )
-            dram_reads = len(l2_miss_owners)
-            result.l2_accesses = l1_misses
-            result.l2_misses = dram_reads
-            stall = (
-                (l1_misses - store_fills) * l2_hit_cycles
-                + dram_reads * dram.access_cycles
-                + read_conflicts * dram.bank_penalty_cycles
-            )
-            dram_lines = dram_reads + dram_writes
-            traffic.line_reads += dram_reads
-        traffic.line_writes += dram_writes
-        traffic.bank_conflicts += read_conflicts + write_conflicts
-
-        result.l1_misses = l1_misses
-        result.store_fills = store_fills
-        result.dram_lines += dram_lines
-        transfers = l1_misses + len(l1_wb_owners)
-        bus_cycles = self.bus.price_transfers(cpu_id, transfers, now)
-        result.bus_cycles = bus_cycles
-        result.cycles = int(
-            round(batch.instructions * config.issue_cpi) + stall + bus_cycles
-        )
-        return result
-
-    def _execute_batch_fast_c(
-        self, walker, cpu_id, result, now,
-        line_arr, count_arr, wany_arr, wall_arr, owners_arr, l2_idx_arr,
-    ) -> BatchResult:
-        """Large-batch walk through the compiled kernel (see cwalker).
-
-        Cache and DRAM-bank state is flattened to arrays, the C routine
-        replays the reference sequence over them, and the per-run flag
-        and victim-owner outputs are reduced to statistics with numpy.
-        Cold misses never need kernel support: a line's first-ever
-        access always misses, so the cold runs are exactly the
-        batch-first occurrences of lines absent from the seen-sets.
-        """
-        import ctypes
-
-        config = self.config
-        l1 = self.l1s[cpu_id]
-        l2 = self.l2
-        n_runs = int(line_arr.shape[0])
-        l1_mask = config.l1_geometry.index_mask
-        l2_mask = config.l2_geometry.index_mask
-        full_line_count = config.l1_geometry.line_size // 4
-        set_partitioned = self.mode is PartitionMode.SET_PARTITIONED
-
-        l1_idx_arr = line_arr & l1_mask
-        sf_arr = (wall_arr & (count_arr >= full_line_count)).astype(np.uint8)
-        wany_u8 = wany_arr.astype(np.uint8)
-
-        l1_lines, l1_owners, l1_dirty, l1_lens = l1.export_state()
-        l2_lines, l2_owners, l2_dirty, l2_lens = l2.export_state()
-
-        # Dirty L1 victims re-index through the per-owner translation;
-        # ship the map as a dense table (row n_table = default mapping,
-        # covering every partitioned/aliased owner -- memoized on the
-        # partition map's version counter).
-        if set_partitioned:
-            use_table = 1
-            n_table, tbl_base, tbl_size, tbl_pow2 = \
-                self._set_translation_table()
-        else:
-            use_table = 0
-            n_table = 0
-            tbl_base = np.zeros(1, dtype=np.int64)
-            tbl_size = np.ones(1, dtype=np.int64)
-            tbl_pow2 = np.ones(1, dtype=np.uint8)
-
-        dram = self.memory.config
-        n_banks = dram.n_banks
-        bank_free = self.memory._bank_free_at
-        bank_arr = np.array(
-            [bank_free.get(b, 0.0) for b in range(n_banks)], dtype=np.float64
-        )
-
-        flags = np.zeros(n_runs, dtype=np.uint8)
-        l1_vo = np.zeros(n_runs, dtype=np.int64)
-        l2_vo = np.zeros(n_runs, dtype=np.int64)
-        counters = np.zeros(3, dtype=np.int64)
-
-        p_i64 = ctypes.POINTER(ctypes.c_int64)
-        p_i32 = ctypes.POINTER(ctypes.c_int32)
-        p_u8 = ctypes.POINTER(ctypes.c_uint8)
-        p_f64 = ctypes.POINTER(ctypes.c_double)
-
-        def i64p(arr):
-            return arr.ctypes.data_as(p_i64)
-
-        walker.walk_batch(
-            n_runs,
-            i64p(line_arr), i64p(l1_idx_arr), i64p(l2_idx_arr),
-            wany_u8.ctypes.data_as(p_u8), sf_arr.ctypes.data_as(p_u8),
-            l1.geometry.ways,
-            i64p(l1_lines), i64p(l1_owners),
-            l1_dirty.ctypes.data_as(p_u8), l1_lens.ctypes.data_as(p_i32),
-            l2.geometry.ways, 1 if l2.policy == "lru" else 0,
-            i64p(l2_lines), i64p(l2_owners),
-            l2_dirty.ctypes.data_as(p_u8), l2_lens.ctypes.data_as(p_i32),
-            i64p(owners_arr),
-            use_table, n_table,
-            i64p(tbl_base), i64p(tbl_size), tbl_pow2.ctypes.data_as(p_u8),
-            l2_mask,
-            float(now), n_banks - 1, dram.bank_busy_cycles,
-            bank_arr.ctypes.data_as(p_f64),
-            flags.ctypes.data_as(p_u8), i64p(l1_vo), i64p(l2_vo),
-            i64p(counters),
-        )
-
-        l1.import_state(l1_lines, l1_owners, l1_dirty, l1_lens)
-        l2.import_state(l2_lines, l2_owners, l2_dirty, l2_lens)
-        bank_values = bank_arr.tolist()
-        for bank in range(n_banks):
-            bank_free[bank] = bank_values[bank]
-
-        l1_miss_mask = (flags & cwalker.FLAG_L1_MISS) != 0
-        demand_miss_mask = (flags & cwalker.FLAG_L2_DEMAND_MISS) != 0
-        l1_evict_mask = (flags & cwalker.FLAG_L1_EVICT) != 0
-        l2_evict_mask = (flags & cwalker.FLAG_L2_EVICT) != 0
-        l1_wb_mask = (flags & cwalker.FLAG_L1_WB) != 0
-        l2_wb_mask = (flags & cwalker.FLAG_L2_WB) != 0
-
-        # Cold-miss classification.  Per level, a run is cold exactly
-        # when it is the batch's *first miss* of its line at that level
-        # and the line is not in the level's seen-set -- only misses
-        # mark a line seen, so this reproduces the reference
-        # bookkeeping even across forget_history() epochs (where lines
-        # can be resident yet unseen).  At the L2, the first missing
-        # probe marks the line seen but counts as cold only when it is
-        # a demand access, mirroring the store-fill cancellation.
-        l2_probe_miss_mask = (flags & cwalker.FLAG_L2_PROBE_MISS) != 0
-        cold1_runs, miss_lines1 = _first_misses(
-            walker, line_arr, l1_miss_mask, l1._seen
-        )
-        cold2_candidates, miss_lines2 = _first_misses(
-            walker, line_arr, l2_probe_miss_mask, l2._seen
-        )
-        cold2_runs = cold2_candidates[sf_arr[cold2_candidates] == 0]
-        l1._seen.update(miss_lines1)
-        l2._seen.update(miss_lines2)
-
-        _flush_weighted_stats(
-            l1.stats, owners_arr, count_arr,
-            owners_arr[l1_miss_mask], owners_arr[cold1_runs],
-            owners_arr[l1_evict_mask], l1_vo[l1_evict_mask],
-            l1_vo[l1_wb_mask],
-        )
-        _flush_probe_stats(
-            l2.stats,
-            owners_arr[l1_miss_mask], owners_arr[demand_miss_mask],
-            owners_arr[cold2_runs],
-            owners_arr[l2_evict_mask], l2_vo[l2_evict_mask],
-            l2_vo[l2_wb_mask],
-        )
-
-        l1_misses = int(np.count_nonzero(l1_miss_mask))
-        store_fills = int(np.count_nonzero(sf_arr[l1_miss_mask]))
-        dram_reads = int(np.count_nonzero(demand_miss_mask))
-        dram_writes = int(counters[0])
-        read_conflicts = int(counters[1])
-        write_conflicts = int(counters[2])
-        traffic = self.memory.traffic
-        traffic.line_reads += dram_reads
-        traffic.line_writes += dram_writes
-        traffic.bank_conflicts += read_conflicts + write_conflicts
-
-        result.l1_misses = l1_misses
-        result.l2_accesses = l1_misses
-        result.l2_misses = dram_reads
-        result.store_fills = store_fills
-        result.dram_lines = dram_reads + dram_writes
-        stall = (
-            (l1_misses - store_fills) * config.l2_hit_cycles
-            + dram_reads * dram.access_cycles
-            + read_conflicts * dram.bank_penalty_cycles
-        )
-        transfers = l1_misses + int(np.count_nonzero(l1_wb_mask))
-        bus_cycles = self.bus.price_transfers(cpu_id, transfers, now)
-        result.bus_cycles = bus_cycles
-        result.cycles = int(
-            round(result.instructions * config.issue_cpi)
-            + stall + bus_cycles
-        )
-        return result
-
     def _l2_store_fill(
         self,
         line: int,
@@ -1688,12 +1171,13 @@ class MemorySystem:
         return hit
 
 
-# -- fast-engine statistics flush -----------------------------------------
+# -- compiled-engine statistics flush -------------------------------------
 #
-# The fast walker records outcomes as flat owner-id lists; these helpers
-# reduce them to per-owner deltas in one vectorised pass.  The resulting
-# OwnerStats values are identical to what the per-run reference
-# accounting produces, because hit/miss/access counts are order-free sums.
+# The C walk records outcomes as per-run flags and victim owners; these
+# helpers reduce them to per-owner deltas in one vectorised pass.  The
+# resulting OwnerStats values are identical to what the per-run
+# reference accounting produces, because hit/miss/access counts are
+# order-free sums.
 
 
 def _bincount(owner_list, minlength=0) -> np.ndarray:
@@ -1704,7 +1188,7 @@ def _bincount(owner_list, minlength=0) -> np.ndarray:
 
 
 def _first_misses(walker, line_arr, miss_mask, seen):
-    """Batch-first misses of not-yet-seen lines (C-path cold misses).
+    """Batch-first misses of not-yet-seen lines (cold misses of a C walk).
 
     Returns ``(cold_runs, missed_lines)``: the run indices whose miss
     is the line's first at this level *and* whose line is absent from

@@ -1,15 +1,15 @@
-"""End-to-end differential matrix for the schedule-compiled tier.
+"""End-to-end differential matrix for the schedule-compiled engine.
 
 The collector in :mod:`repro.cake.processor` batches consecutive
 deterministic ops through one C call per segment; these tests pin the
 whole-platform contract: for **every registered workload**, partition
 mode, CPU count and scheduling knob exercised here, a run on the
 compiled engine produces a :class:`RunMetrics` payload byte-identical
-to the reference engine (and to the fast engine), including FIFO
-blocking, round-robin preemption with pre-pulled ops handed back, and
-context-switch traffic.  Without a C compiler the compiled engine
-degrades to the fast walker, so the identities still hold -- only the
-events-saved assertions need the real C tier.
+to the reference engine, including FIFO blocking, round-robin
+preemption with pre-pulled ops handed back, and context-switch
+traffic.  Without a C compiler the compiled engine degrades to the
+reference walk, so the identities still hold -- only the events-saved
+assertions need the real C tier.
 """
 
 import pytest
@@ -25,7 +25,7 @@ from repro.mem.partition import PartitionMode
 
 C_AVAILABLE = cwalker.load() is not None
 
-ENGINES = ("reference", "fast", "compiled")
+ENGINES = ("reference", "compiled")
 
 #: Every registered workload, in a configuration small enough to run
 #: the full engine x mode x cpu matrix in seconds.
@@ -69,7 +69,6 @@ def assert_engines_identical(workload, kwargs, cake, mode,
             workload, kwargs, cake, mode, engine,
             way_assignment=way_assignment,
         )
-    assert payloads["fast"] == payloads["reference"], (workload, mode)
     assert payloads["compiled"] == payloads["reference"], (workload, mode)
     if expect is not None:
         expect(platforms["reference"], payloads["reference"])
@@ -86,7 +85,7 @@ def test_every_registered_workload_is_covered():
 @pytest.mark.parametrize("mode", list(PartitionMode))
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_three_way_engine_matrix(workload, mode, n_cpus):
-    """reference == fast == compiled on every workload x mode x cpus."""
+    """reference == compiled on every workload x mode x cpus."""
     assert_engines_identical(
         workload, WORKLOADS[workload], small_cake(n_cpus), mode
     )
@@ -199,7 +198,6 @@ def test_three_way_with_bursty_segments(n_cpus):
     payloads = {
         engine: _run_bursty(engine, n_cpus)[0] for engine in ENGINES
     }
-    assert payloads["fast"] == payloads["reference"]
     assert payloads["compiled"] == payloads["reference"]
 
 
@@ -207,11 +205,11 @@ def test_three_way_with_bursty_segments(n_cpus):
 def test_compiled_runs_fewer_kernel_events():
     """Whole-segment batching must shrink the event-loop traffic: one
     timeout per flushed segment instead of one per op."""
-    payload_fast, fast = _run_bursty("fast")
+    payload_reference, reference = _run_bursty("reference")
     payload_compiled, compiled = _run_bursty("compiled")
-    assert payload_fast == payload_compiled
+    assert payload_reference == payload_compiled
     assert compiled.mem.segment_ready
-    assert compiled.sim.events_processed < fast.sim.events_processed
+    assert compiled.sim.events_processed < reference.sim.events_processed
 
 
 def _sleepy_network():
@@ -257,7 +255,6 @@ def test_compiled_survives_runless_first_segment():
                             engine=engine)
         payloads[engine] = run_metrics_to_payload(platform.run())
     assert payloads["compiled"] == payloads["reference"]
-    assert payloads["fast"] == payloads["reference"]
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
@@ -297,4 +294,4 @@ def test_canonical_dict_roundtrips_with_default_engine():
     )
     restored = Scenario.from_dict(base.to_dict(canonical=True))
     assert restored.scenario_id == base.scenario_id
-    assert restored.effective_cake.hierarchy.engine == "fast"
+    assert restored.effective_cake.hierarchy.engine == "compiled"
