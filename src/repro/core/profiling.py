@@ -35,6 +35,7 @@ __all__ = [
     "profile_miss_curves",
     "profiling_passes",
     "reset_profiling_passes",
+    "thread_profiling_passes",
 ]
 
 #: Process-wide count of profiling sweeps executed (one per
@@ -45,11 +46,23 @@ __all__ = [
 #: Locked because the async runner backend profiles on threads.
 _PASS_COUNT = 0
 _PASS_COUNT_LOCK = threading.Lock()
+#: The calling thread's share of the count (see thread_profiling_passes).
+_THREAD_PASSES = threading.local()
 
 
 def profiling_passes() -> int:
     """How many profiling sweeps this process has executed."""
     return _PASS_COUNT
+
+
+def thread_profiling_passes() -> int:
+    """How many profiling sweeps the calling thread has executed.
+
+    A task's before/after difference of this count is exact even when
+    other threads of the process profile concurrently (sweep-service
+    workers sharing a process).
+    """
+    return getattr(_THREAD_PASSES, "count", 0)
 
 
 def reset_profiling_passes() -> None:
@@ -119,6 +132,7 @@ def profile_miss_curves(
     global _PASS_COUNT
     with _PASS_COUNT_LOCK:
         _PASS_COUNT += 1
+    _THREAD_PASSES.count = thread_profiling_passes() + 1
     if sizes is None:
         sizes = []
         size = 1

@@ -449,11 +449,9 @@ class DynamicScenario:
     # -- epoch bookkeeping -------------------------------------------------
 
     def _snapshot(self) -> Tuple[Dict, Dict, Dict]:
-        """Current cumulative counters (compiled tier synced first)."""
+        """Current cumulative counters (``l2_stats`` folds the compiled
+        tier's C-side statistics)."""
         platform = self.platform
-        # l2_stats reads the Python-side models; the compiled engine
-        # keeps them C-side between calls, so sync explicitly.
-        platform.mem.sync_state()
         cycles = {task.name: task.stats.cycles for task in platform.tasks}
         instructions = {
             task.name: task.stats.instructions for task in platform.tasks

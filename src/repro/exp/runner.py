@@ -197,7 +197,8 @@ def execute_scenario(
     Dynamic scenarios take ``profiles`` instead: one entry per
     :meth:`~repro.exp.scenario.Scenario.profile_requirements` group.
     """
-    started = time.time()
+    created_unix = time.time()
+    started = time.perf_counter()
     method = scenario.build_method()
     record = _base_record(scenario)
     report: Optional[MethodReport] = None
@@ -284,8 +285,8 @@ def execute_scenario(
         )
 
     record["timing"] = {
-        "wall_s": time.time() - started,
-        "created_unix": started,
+        "wall_s": time.perf_counter() - started,
+        "created_unix": created_unix,
         "engine": scenario.effective_cake.hierarchy.engine,
     }
     if replan_wall_s is not None:

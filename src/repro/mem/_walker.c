@@ -20,39 +20,29 @@
  * Cache state lives in flat arrays (one row of `ways` slots per set,
  * slot 0 = MRU, parallel owner/dirty arrays, per-set lengths); the
  * caller rebuilds the Python-side dict/list state from the mutated
- * arrays when it needs that view.  Statistics are not computed here:
- * the kernel emits one flag byte and victim-owner slots per run, which
- * the caller reduces with numpy.  Cold-miss classification needs no
- * support at all -- a line's first-ever access always misses, so the
- * caller can derive cold runs from batch-first occurrences and its
- * seen-sets.
+ * arrays when it needs that view.  Set indices are computed here too:
+ * `line & mask`, or the per-owner set-translation table of a
+ * set-partitioned L2.
  *
- * Flag bits per run (matching repro.mem.cwalker.FLAG_*):
- *   1  L1 miss (implies one L2 probe: demand or store fill)
- *   2  L2 demand miss (DRAM line read)
- *   4  L1 eviction (victim owner in l1_victim_owner[i])
- *   8  L2 eviction (victim owner in l2_victim_owner[i])
- *  16  the L1 victim was dirty (writeback transfer towards the L2)
- *  32  the L2 victim was dirty (DRAM line write)
- *  64  the L2 probe missed (demand or store fill; drives the caller's
- *      seen-set bookkeeping -- only misses mark a line "seen")
+ * Per-owner statistics are kept here as well, one block per level
+ * (level c = the L1 of CPU c, level n_cpus = the L2): the counter rows
+ * STAT_* below, then the evictor x victim eviction matrix.  A block is
+ * n_owners wide and grows when a segment brings a larger owner id.
+ * Each level also keeps the set of lines it has ever missed on (the
+ * cold-miss classifier, imported from the Python model when the handle
+ * is built) plus a log of the lines added since the caller last
+ * drained it.  The caller folds the blocks into its CacheStats and
+ * zeroes them whenever it needs the Python view (`walker_stats`,
+ * `walker_seen_drain`).
  *
- * counters[0..2] = DRAM line writes, read bank conflicts, write bank
- * conflicts.
+ * DRAM counters per walk_segment call: counters[0..2] = line reads,
+ * line writes, bank conflicts.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#define FLAG_L1_MISS 1
-#define FLAG_L2_DEMAND_MISS 2
-#define FLAG_L1_EVICT 4
-#define FLAG_L2_EVICT 8
-#define FLAG_L1_WB 16
-#define FLAG_L2_WB 32
-#define FLAG_L2_PROBE_MISS 64
 
 #define ENTRY_COMPUTE 0
 #define ENTRY_DELAY 1
@@ -62,38 +52,18 @@
 #define L2_MODE_FIFO 1
 #define L2_MODE_WAY 2
 
-/* Mark the first occurrence of every distinct value (open-addressing
- * hash set; values must be non-negative -- line addresses are).  The
- * numpy equivalent, np.unique(..., return_index=True), needs a stable
- * argsort and costs ~20x more.  Returns 0, or 1 when allocation fails
- * (the caller then falls back to numpy). */
-int first_occurrence(const int64_t *values, int64_t n, uint8_t *is_first) {
-    uint64_t capacity = 16;
-    while (capacity < (uint64_t)(2 * n)) capacity <<= 1;
-    int64_t *table = (int64_t *)malloc(capacity * sizeof(int64_t));
-    if (table == NULL) return 1;
-    memset(table, 0xff, capacity * sizeof(int64_t)); /* all slots = -1 */
-    uint64_t mask = capacity - 1;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t v = values[i];
-        uint64_t slot = ((uint64_t)v * 0x9E3779B97F4A7C15ULL) >> 17 & mask;
-        for (;;) {
-            int64_t entry = table[slot];
-            if (entry == v) {
-                is_first[i] = 0;
-                break;
-            }
-            if (entry == -1) {
-                table[slot] = v;
-                is_first[i] = 1;
-                break;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-    free(table);
-    return 0;
-}
+/* Counter rows of a per-owner statistics block; hits are
+ * accesses - misses (only the first access of a run can miss). */
+#define STAT_ACCESSES 0
+#define STAT_MISSES 1
+#define STAT_COLD 2
+#define STAT_WRITEBACKS 3
+#define STAT_EVICTED 4
+#define STAT_ROWS 5
+
+/* walk_segment refusals (nothing was walked). */
+#define WALK_NEGATIVE_OWNER -1
+#define WALK_NO_MEMORY -2
 
 /* One bank-model update; mirrors MainMemory.access timing exactly. */
 static inline int bank_touch(double *bank_free, int64_t bank, double now,
@@ -104,16 +74,105 @@ static inline int bank_touch(double *bank_free, int64_t bank, double now,
     return conflict;
 }
 
-/* The whole memory system as flat state.  `walker_state_new` mallocs
- * one and the handle keeps it across calls (the pointers reference
- * numpy-owned arrays the Python side keeps alive). */
+/* ====================================================================
+ * Seen-line sets (cold-miss classification)
+ * ====================================================================
+ *
+ * Open addressing over non-negative line addresses; -1 marks an empty
+ * slot.  `fresh` logs every line inserted since the last drain, so the
+ * caller only exports what is new. */
+
+typedef struct {
+    int64_t *slots;
+    int64_t capacity;           /* a power of two, or 0 */
+    int64_t count;
+    int64_t *fresh;
+    int64_t n_fresh, fresh_capacity;
+} line_set;
+
+static inline uint64_t line_hash(int64_t line, int64_t capacity) {
+    return ((uint64_t)line * 0x9E3779B97F4A7C15ULL) >> 17
+           & (uint64_t)(capacity - 1);
+}
+
+static inline int line_set_add(line_set *s, int64_t line) {
+    uint64_t mask = (uint64_t)(s->capacity - 1);
+    uint64_t slot = line_hash(line, s->capacity);
+    for (;;) {
+        int64_t entry = s->slots[slot];
+        if (entry == line) return 0;
+        if (entry == -1) {
+            s->slots[slot] = line;
+            s->count++;
+            return 1;
+        }
+        slot = (slot + 1) & mask;
+    }
+}
+
+/* Room for `extra` more lines at load factor <= 1/2; 1 on failure. */
+static int line_set_grow(line_set *s, int64_t extra) {
+    int64_t need = 2 * (s->count + extra);
+    if (need <= s->capacity) return 0;
+    int64_t capacity = 16;
+    while (capacity < need) capacity <<= 1;
+    int64_t *slots = (int64_t *)malloc(capacity * sizeof(int64_t));
+    if (slots == NULL) return 1;
+    memset(slots, 0xff, capacity * sizeof(int64_t)); /* all slots = -1 */
+    int64_t *old = s->slots;
+    int64_t old_capacity = s->capacity;
+    s->slots = slots;
+    s->capacity = capacity;
+    s->count = 0;
+    for (int64_t i = 0; i < old_capacity; i++) {
+        if (old[i] >= 0) line_set_add(s, old[i]);
+    }
+    free(old);
+    return 0;
+}
+
+/* Room for `extra` insertions during a walk (table and fresh log), so
+ * the walk itself never allocates; 1 on failure. */
+static int line_set_reserve(line_set *s, int64_t extra) {
+    if (extra <= 0) return 0;
+    if (line_set_grow(s, extra)) return 1;
+    if (s->n_fresh + extra > s->fresh_capacity) {
+        int64_t capacity = 2 * (s->n_fresh + extra);
+        int64_t *fresh =
+            (int64_t *)realloc(s->fresh, capacity * sizeof(int64_t));
+        if (fresh == NULL) return 1;
+        s->fresh = fresh;
+        s->fresh_capacity = capacity;
+    }
+    return 0;
+}
+
+/* Mark `line` seen; 1 when it was not (the miss is cold).  Capacity
+ * must have been reserved. */
+static inline int line_set_insert(line_set *s, int64_t line) {
+    if (!line_set_add(s, line)) return 0;
+    s->fresh[s->n_fresh++] = line;
+    return 1;
+}
+
+/* ====================================================================
+ * Persistent state handle
+ * ====================================================================
+ *
+ * A walker_state aggregates pointers into numpy-owned arrays (the
+ * Python side keeps them alive for the handle's lifetime) plus the
+ * scalar model parameters.  Nothing is copied: the arrays ARE the
+ * authoritative cache/bank/bus state between calls, so no call pays a
+ * per-batch marshalling cost.  The statistics blocks and seen sets are
+ * C-owned and freed with the handle. */
+
 typedef struct {
     int64_t n_cpus;
     int64_t l1_sets, l1_ways;
     int64_t *l1_lines, *l1_owners;
     uint8_t *l1_dirty;
     int32_t *l1_len;
-    int64_t l2_sets, l2_ways, l2_mode, l2_mask;
+    int64_t l2_sets, l2_ways, l2_mode;
     int64_t *l2_lines, *l2_owners;
     uint8_t *l2_dirty;
     int32_t *l2_len;
@@ -132,7 +191,23 @@ typedef struct {
     /* timing */
     double issue_cpi;
     int64_t l2_hit_cycles;
+    /* a write-only run touching this many spots fills its line */
+    int64_t full_line_count;
+    /* statistics: n_cpus + 1 blocks of (STAT_ROWS + n_owners) rows of
+     * n_owners counters, and one seen-line set per level */
+    int64_t n_owners;
+    int64_t *stats;
+    line_set *seen;
 } walker_state;
+
+/* The per-call translation inputs of the L2. */
+typedef struct {
+    int64_t use_table, n_table;
+    const int64_t *table_base, *table_size;
+    const uint8_t *table_pow2;
+    const int64_t *way_table;
+    int64_t way_rows;
+} l2_maps;
 
 /* Per-entry walk outcome (feeds the cycle formula and BatchResult). */
 typedef struct {
@@ -145,6 +220,44 @@ typedef struct {
     int64_t transfers;
 } entry_tally;
 
+/* Widen every statistics block to at least `n` owners; 1 on failure. */
+static int stats_reserve(walker_state *st, int64_t n) {
+    int64_t old_n = st->n_owners;
+    if (n <= old_n) return 0;
+    int64_t new_n = old_n ? old_n : 16;
+    while (new_n < n) new_n <<= 1;
+    int64_t levels = st->n_cpus + 1;
+    int64_t *stats = (int64_t *)calloc(
+        (size_t)(levels * (STAT_ROWS + new_n) * new_n), sizeof(int64_t));
+    if (stats == NULL) return 1;
+    for (int64_t level = 0; level < levels; level++) {
+        const int64_t *src = st->stats + level * (STAT_ROWS + old_n) * old_n;
+        int64_t *dst = stats + level * (STAT_ROWS + new_n) * new_n;
+        for (int64_t row = 0; row < STAT_ROWS + old_n; row++) {
+            memcpy(dst + row * new_n, src + row * old_n,
+                   old_n * sizeof(int64_t));
+        }
+    }
+    free(st->stats);
+    st->stats = stats;
+    st->n_owners = new_n;
+    return 0;
+}
+
+/* The L2 set of `line` issued by `owner`: the set-translation table of
+ * a set-partitioned L2 (owners beyond it use the default row), else
+ * conventional indexing. */
+static inline int64_t l2_set_index(const walker_state *st,
+                                   const l2_maps *maps,
+                                   int64_t line, int64_t owner) {
+    if (!maps->use_table) return line & (st->l2_sets - 1);
+    int64_t r = owner < maps->n_table ? owner : maps->n_table;
+    int64_t size = maps->table_size[r];
+    return maps->table_base[r] + (maps->table_pow2[r]
+                                      ? (line & (size - 1))
+                                      : (line % size));
+}
+
 /* THE replay body: walk the runs [start, end) of one entry against the
  * state.  The L1 is selected by cpu id; l2_mode picks the
  * set-associative LRU/FIFO walk or the way-managed column cache (hit
@@ -153,34 +266,40 @@ typedef struct {
  * traffic -- there is exactly one copy of the replay semantics in C. */
 static void walk_entry_runs(
     walker_state *st, int64_t cpu, int64_t start, int64_t end,
-    const int64_t *lines, const int64_t *l1_idx, const int64_t *l2_idx,
-    const uint8_t *write_any, const uint8_t *store_fill,
-    const int64_t *run_owners,
-    int64_t use_table, int64_t n_table,
-    const int64_t *table_base, const int64_t *table_size,
-    const uint8_t *table_pow2,
-    const int64_t *way_table, int64_t way_rows,
-    double now,
-    uint8_t *flags, int64_t *l1_victim_owner, int64_t *l2_victim_owner,
-    entry_tally *tally)
+    const int64_t *lines, const int64_t *counts,
+    const uint8_t *write_any, const uint8_t *write_all,
+    const int64_t *run_owners, const l2_maps *maps,
+    double now, entry_tally *tally)
 {
     const int64_t l1_ways = st->l1_ways;
+    const int64_t l1_mask = st->l1_sets - 1;
     const int64_t l2_ways = st->l2_ways;
-    const int64_t l2_mask = st->l2_mask;
     const int64_t l2_mode = st->l2_mode;
+    const int64_t n_own = st->n_owners;
+    const int64_t block = (STAT_ROWS + n_own) * n_own;
     int64_t *l1_lines = st->l1_lines + cpu * st->l1_sets * l1_ways;
     int64_t *l1_owners = st->l1_owners + cpu * st->l1_sets * l1_ways;
     uint8_t *l1_dirty = st->l1_dirty + cpu * st->l1_sets * l1_ways;
     int32_t *l1_len = st->l1_len + cpu * st->l1_sets;
+    int64_t *s1 = st->stats + cpu * block;
+    int64_t *s2 = st->stats + st->n_cpus * block;
+    line_set *seen1 = st->seen + cpu;
+    line_set *seen2 = st->seen + st->n_cpus;
+
+#define STAT(s, row, owner) (s)[(row) * n_own + (owner)]
+#define EVICTION(s, evictor, victim) \
+    (s)[(STAT_ROWS + (evictor)) * n_own + (victim)]
 
     for (int64_t i = start; i < end; i++) {
         int64_t line = lines[i];
-        int64_t si = l1_idx[i];
+        int64_t owner = run_owners[i];
+        int64_t si = line & l1_mask;
         int64_t *row = l1_lines + si * l1_ways;
         int32_t len = l1_len[si];
         int64_t k;
-        uint8_t f = 0;
         int write = write_any[i];
+
+        STAT(s1, STAT_ACCESSES, owner) += counts[i];
 
         /* ---- L1 probe (always LRU) ----------------------------------- */
         for (k = 0; k < len; k++) {
@@ -200,26 +319,25 @@ static void walk_entry_runs(
                 drow[0] = dir;
             }
             if (write) l1_dirty[si * l1_ways] = 1;
-            flags[i] = 0;
             continue;
         }
 
         /* ---- L1 miss + fill ------------------------------------------ */
-        f = FLAG_L1_MISS;
         tally->l1_misses++;
         tally->transfers++;
-        int64_t owner = run_owners[i];
+        STAT(s1, STAT_MISSES, owner)++;
+        if (line_set_insert(seen1, line)) STAT(s1, STAT_COLD, owner)++;
         int64_t *orow = l1_owners + si * l1_ways;
         uint8_t *drow = l1_dirty + si * l1_ways;
         int64_t wb_line = -1, wb_owner = 0;
         if (len >= l1_ways) {
-            int64_t victim = row[len - 1];
-            f |= FLAG_L1_EVICT;
-            l1_victim_owner[i] = orow[len - 1];
+            int64_t victim_owner = orow[len - 1];
+            STAT(s1, STAT_EVICTED, victim_owner)++;
+            EVICTION(s1, owner, victim_owner)++;
             if (drow[len - 1]) {
-                f |= FLAG_L1_WB;
-                wb_line = victim;
-                wb_owner = orow[len - 1];
+                STAT(s1, STAT_WRITEBACKS, victim_owner)++;
+                wb_line = row[len - 1];
+                wb_owner = victim_owner;
                 tally->transfers++;
             }
             len--;
@@ -234,16 +352,9 @@ static void walk_entry_runs(
 
         /* ---- dirty L1 victim written back through the L2 ------------- */
         if (wb_line >= 0) {
-            int64_t wb_si;
-            if (l2_mode == L2_MODE_WAY || !use_table) {
-                wb_si = wb_line & l2_mask;
-            } else {
-                int64_t r = wb_owner < n_table ? wb_owner : n_table;
-                int64_t size = table_size[r];
-                wb_si = table_base[r] + (table_pow2[r]
-                                             ? (wb_line & (size - 1))
-                                             : (wb_line % size));
-            }
+            int64_t wb_si = l2_mode == L2_MODE_WAY
+                                ? wb_line & (st->l2_sets - 1)
+                                : l2_set_index(st, maps, wb_line, wb_owner);
             int64_t *wrow = st->l2_lines + wb_si * l2_ways;
             int64_t j, wlen;
             wlen = l2_mode == L2_MODE_WAY ? l2_ways : st->l2_len[wb_si];
@@ -262,12 +373,18 @@ static void walk_entry_runs(
         }
 
         /* ---- L2 probe (demand access or store fill) ------------------ */
-        int sfill = store_fill[i];
+        /* A full-line streaming store allocates without a DRAM fetch
+         * (write-validate): an access and a hit, never a demand miss. */
+        int sfill = write_all[i] && counts[i] >= st->full_line_count;
         if (sfill) tally->store_fills++;
-        int64_t l2i = l2_idx[i];
+        STAT(s2, STAT_ACCESSES, owner)++;
+        int64_t l2i = l2_mode == L2_MODE_WAY
+                          ? line & (st->l2_sets - 1)
+                          : l2_set_index(st, maps, line, owner);
         int64_t *row2 = st->l2_lines + l2i * l2_ways;
         int64_t *orow2 = st->l2_owners + l2i * l2_ways;
         uint8_t *drow2 = st->l2_dirty + l2i * l2_ways;
+        int64_t victim_slot = -1;
 
         if (l2_mode == L2_MODE_WAY) {
             /* WayManagedCache.access: clock tick, hit on any way,
@@ -280,12 +397,11 @@ static void walk_entry_runs(
             if (k < l2_ways) {
                 srow2[k] = clock;
                 if (write) drow2[k] = 1;
-                flags[i] = f;
                 continue;
             }
-            f |= FLAG_L2_PROBE_MISS;
             const int64_t *ways_row =
-                way_table + (owner < way_rows ? owner : way_rows) * l2_ways;
+                maps->way_table
+                + (owner < maps->way_rows ? owner : maps->way_rows) * l2_ways;
             int64_t victim_way = -1;
             int64_t lru_way = -1, lru_stamp = 0;
             for (k = 0; k < l2_ways; k++) {
@@ -301,103 +417,88 @@ static void walk_entry_runs(
                 }
             }
             if (victim_way < 0) victim_way = lru_way;
-            if (row2[victim_way] != -1) {
-                f |= FLAG_L2_EVICT;
-                l2_victim_owner[i] = orow2[victim_way];
-                if (drow2[victim_way]) {
-                    f |= FLAG_L2_WB;
-                    tally->write_conflicts += bank_touch(
-                        st->bank_free, row2[victim_way] & st->bank_mask,
-                        now, st->bank_busy);
-                    tally->dram_writes++;
-                }
-            }
-            row2[victim_way] = line;
-            orow2[victim_way] = owner;
+            if (row2[victim_way] != -1) victim_slot = victim_way;
             srow2[victim_way] = clock;
-            drow2[victim_way] = (uint8_t)write;
-            if (!sfill) {
-                f |= FLAG_L2_DEMAND_MISS;
-                tally->dram_reads++;
-                tally->read_conflicts += bank_touch(
-                    st->bank_free, line & st->bank_mask, now, st->bank_busy);
+            k = victim_way;
+        } else {
+            /* set-associative L2 (LRU or FIFO) */
+            int32_t len2 = st->l2_len[l2i];
+            for (k = 0; k < len2; k++) {
+                if (row2[k] == line) break;
             }
-            flags[i] = f;
-            continue;
+            if (k < len2) {
+                if (l2_mode == L2_MODE_LRU && k > 0) {
+                    int64_t own = orow2[k];
+                    uint8_t dir = drow2[k];
+                    memmove(row2 + 1, row2, k * sizeof(int64_t));
+                    memmove(orow2 + 1, orow2, k * sizeof(int64_t));
+                    memmove(drow2 + 1, drow2, k * sizeof(uint8_t));
+                    row2[0] = line;
+                    orow2[0] = own;
+                    drow2[0] = dir;
+                    k = 0;
+                }
+                if (write) drow2[k] = 1;
+                continue;
+            }
+            if (len2 >= l2_ways) victim_slot = len2 - 1;
         }
 
-        /* set-associative L2 (LRU or FIFO) */
-        int32_t len2 = st->l2_len[l2i];
-        for (k = 0; k < len2; k++) {
-            if (row2[k] == line) break;
+        /* ---- L2 miss: account, evict, fill --------------------------- */
+        int cold = line_set_insert(seen2, line);
+        if (!sfill) {
+            STAT(s2, STAT_MISSES, owner)++;
+            if (cold) STAT(s2, STAT_COLD, owner)++;
         }
-        if (k < len2) {
-            if (l2_mode == L2_MODE_LRU && k > 0) {
-                int64_t own = orow2[k];
-                uint8_t dir = drow2[k];
-                memmove(row2 + 1, row2, k * sizeof(int64_t));
-                memmove(orow2 + 1, orow2, k * sizeof(int64_t));
-                memmove(drow2 + 1, drow2, k * sizeof(uint8_t));
-                row2[0] = line;
-                orow2[0] = own;
-                drow2[0] = dir;
-                k = 0;
-            }
-            if (write) drow2[k] = 1;
-            flags[i] = f;
-            continue;
-        }
-
-        f |= FLAG_L2_PROBE_MISS;
-        if (len2 >= l2_ways) {
-            f |= FLAG_L2_EVICT;
-            l2_victim_owner[i] = orow2[len2 - 1];
-            if (drow2[len2 - 1]) {
-                f |= FLAG_L2_WB;
-                int64_t victim = row2[len2 - 1];
+        if (victim_slot >= 0) {
+            int64_t victim_owner = orow2[victim_slot];
+            STAT(s2, STAT_EVICTED, victim_owner)++;
+            EVICTION(s2, owner, victim_owner)++;
+            if (drow2[victim_slot]) {
+                STAT(s2, STAT_WRITEBACKS, victim_owner)++;
                 tally->write_conflicts += bank_touch(
-                    st->bank_free, victim & st->bank_mask, now,
+                    st->bank_free, row2[victim_slot] & st->bank_mask, now,
                     st->bank_busy);
                 tally->dram_writes++;
             }
-            len2--;
         }
-        memmove(row2 + 1, row2, len2 * sizeof(int64_t));
-        memmove(orow2 + 1, orow2, len2 * sizeof(int64_t));
-        memmove(drow2 + 1, drow2, len2 * sizeof(uint8_t));
-        row2[0] = line;
-        orow2[0] = owner;
-        drow2[0] = (uint8_t)write;
-        st->l2_len[l2i] = len2 + 1;
+        if (l2_mode != L2_MODE_WAY) {
+            /* shift the set down one slot (the tail victim drops off) */
+            int32_t len2 = st->l2_len[l2i];
+            if (victim_slot >= 0) len2--;
+            memmove(row2 + 1, row2, len2 * sizeof(int64_t));
+            memmove(orow2 + 1, orow2, len2 * sizeof(int64_t));
+            memmove(drow2 + 1, drow2, len2 * sizeof(uint8_t));
+            st->l2_len[l2i] = len2 + 1;
+            k = 0;
+        }
+        row2[k] = line;
+        orow2[k] = owner;
+        drow2[k] = (uint8_t)write;
 
         if (!sfill) {
-            f |= FLAG_L2_DEMAND_MISS;
             tally->dram_reads++;
             tally->read_conflicts += bank_touch(
                 st->bank_free, line & st->bank_mask, now, st->bank_busy);
         }
-        flags[i] = f;
     }
+#undef STAT
+#undef EVICTION
 }
 
-/* ====================================================================
- * Persistent state handle + whole-segment walk
- * ====================================================================
- *
- * A walker_state aggregates pointers into numpy-owned arrays (the
- * Python side keeps them alive for the handle's lifetime) plus the
- * scalar model parameters.  Nothing is copied: the arrays ARE the
- * authoritative cache/bank/bus state between calls, so no call pays a
- * per-batch marshalling cost.
- *
- * `walk_segment` executes an ordered sequence of schedule entries --
- * compute batches, pure delays, context-switch traffic -- advancing a
- * local clock entry by entry exactly as the event-driven reference
- * would, and stops early at a foreign-event horizon or on quantum
- * expiry so the caller can hand control back to the simulation kernel
- * with bit-identical interleaving.  Statistics are again flag-based:
- * the caller reduces the per-run flag/victim outputs with numpy.
- */
+void walker_state_free(void *state) {
+    walker_state *st = (walker_state *)state;
+    if (st == NULL) return;
+    if (st->seen != NULL) {
+        for (int64_t level = 0; level <= st->n_cpus; level++) {
+            free(st->seen[level].slots);
+            free(st->seen[level].fresh);
+        }
+        free(st->seen);
+    }
+    free(st->stats);
+    free(st);
+}
 
 void *walker_state_new(
     int64_t n_cpus,
@@ -414,9 +515,9 @@ void *walker_state_new(
     double bus_decay, double bus_max_surcharge,
     double *bus_demand, double *bus_last,
     int64_t *bus_transfers_total, double *bus_surcharge_total,
-    double issue_cpi, int64_t l2_hit_cycles)
+    double issue_cpi, int64_t l2_hit_cycles, int64_t full_line_count)
 {
-    walker_state *st = (walker_state *)malloc(sizeof(walker_state));
+    walker_state *st = (walker_state *)calloc(1, sizeof(walker_state));
     if (st == NULL) return NULL;
     st->n_cpus = n_cpus;
     st->l1_sets = l1_sets;
@@ -428,7 +529,6 @@ void *walker_state_new(
     st->l2_sets = l2_sets;
     st->l2_ways = l2_ways;
     st->l2_mode = l2_mode;
-    st->l2_mask = l2_sets - 1;
     st->l2_lines = l2_lines;
     st->l2_owners = l2_owners;
     st->l2_dirty = l2_dirty;
@@ -450,11 +550,57 @@ void *walker_state_new(
     st->bus_surcharge_total = bus_surcharge_total;
     st->issue_cpi = issue_cpi;
     st->l2_hit_cycles = l2_hit_cycles;
+    st->full_line_count = full_line_count;
+
+    /* Resident lines may be evicted before their owner walks again:
+     * size the blocks for every imported owner (and at least one). */
+    int64_t max_owner = -1;
+    for (int64_t i = 0; i < n_cpus * l1_sets * l1_ways; i++) {
+        if (l1_lines[i] != -1 && l1_owners[i] > max_owner)
+            max_owner = l1_owners[i];
+    }
+    for (int64_t i = 0; i < l2_sets * l2_ways; i++) {
+        if (l2_lines[i] != -1 && l2_owners[i] > max_owner)
+            max_owner = l2_owners[i];
+    }
+    st->seen = (line_set *)calloc((size_t)(n_cpus + 1), sizeof(line_set));
+    if (st->seen == NULL
+        || stats_reserve(st, max_owner >= 0 ? max_owner + 1 : 1)) {
+        walker_state_free(st);
+        return NULL;
+    }
     return st;
 }
 
-void walker_state_free(void *state) {
-    free(state);
+/* Add the caller's seen lines of one level (not logged as fresh);
+ * 0, or 1 when allocation fails. */
+int walker_seen_import(void *state, int64_t level, const int64_t *lines,
+                       int64_t n) {
+    line_set *s = ((walker_state *)state)->seen + level;
+    if (line_set_grow(s, n)) return 1;
+    for (int64_t i = 0; i < n; i++) line_set_add(s, lines[i]);
+    return 0;
+}
+
+/* The lines one level has seen since the last drain; *n_out gets their
+ * count and the log restarts.  The returned buffer stays valid until
+ * the next walk_segment call. */
+const int64_t *walker_seen_drain(void *state, int64_t level,
+                                 int64_t *n_out) {
+    line_set *s = ((walker_state *)state)->seen + level;
+    *n_out = s->n_fresh;
+    s->n_fresh = 0;
+    return s->fresh;
+}
+
+/* The statistics blocks (n_cpus + 1 of them, see the file header) and
+ * their owner width in *n_owners_out.  The caller may read and zero
+ * them in place; the pointer stays valid until the next walk_segment
+ * call. */
+int64_t *walker_stats(void *state, int64_t *n_owners_out) {
+    walker_state *st = (walker_state *)state;
+    *n_owners_out = st->n_owners;
+    return st->stats;
 }
 
 /* SharedBus.price_transfers, term for term (same exp(), same addition
@@ -490,7 +636,10 @@ static int64_t bus_price(walker_state *st, int64_t cpu, int64_t n,
     return (int64_t)((double)base + extra);
 }
 
-/* Execute up to n_entries schedule entries; returns how many ran.
+/* Execute up to n_entries schedule entries; returns how many ran, or a
+ * negative WALK_* code when it refused to start (state untouched): a
+ * run resolved a negative owner id, or the statistics blocks / seen
+ * sets could not grow to cover the segment.
  *
  * Entry kinds: ENTRY_COMPUTE walks its runs and advances the clock by
  * the computed cycle cost; ENTRY_DELAY advances by entry_advance[e]
@@ -515,8 +664,8 @@ int64_t walk_segment(
     const int64_t *entry_kind, const int64_t *entry_cpu,
     const int64_t *entry_start, const int64_t *entry_end,
     const int64_t *entry_instr, const int64_t *entry_advance,
-    const int64_t *lines, const int64_t *l1_idx, const int64_t *l2_idx,
-    const uint8_t *write_any, const uint8_t *store_fill,
+    const int64_t *lines, const int64_t *counts,
+    const uint8_t *write_any, const uint8_t *write_all,
     const int64_t *run_owners,
     int64_t use_table, int64_t n_table,
     const int64_t *table_base, const int64_t *table_size,
@@ -524,16 +673,35 @@ int64_t walk_segment(
     const int64_t *way_table, int64_t way_rows,
     double now, double horizon,
     int64_t quantum, int64_t use_quantum,
-    uint8_t *flags, int64_t *l1_victim_owner, int64_t *l2_victim_owner,
     int64_t *out_cycles, int64_t *out_l1_misses, int64_t *out_l2_misses,
     int64_t *out_dram_lines, int64_t *out_bus_cycles,
     int64_t *out_store_fills,
     int64_t *counters)
 {
     walker_state *st = (walker_state *)state_ptr;
-    int64_t dram_writes = 0, read_conflicts = 0, write_conflicts = 0;
+    const l2_maps maps = {use_table, n_table, table_base, table_size,
+                          table_pow2, way_table, way_rows};
+    int64_t dram_reads = 0, dram_writes = 0, conflicts = 0;
     int64_t elapsed = 0;
     int64_t e;
+
+    /* Make room for everything the segment can add, before any state
+     * moves: a wider block for new owners, seen-set slots per level. */
+    int64_t n_runs = n_entries ? entry_end[n_entries - 1] : 0;
+    int64_t max_owner = -1;
+    for (int64_t i = 0; i < n_runs; i++) {
+        if (run_owners[i] < 0) return WALK_NEGATIVE_OWNER;
+        if (run_owners[i] > max_owner) max_owner = run_owners[i];
+    }
+    if (stats_reserve(st, max_owner + 1)) return WALK_NO_MEMORY;
+    if (line_set_reserve(st->seen + st->n_cpus, n_runs)) return WALK_NO_MEMORY;
+    for (int64_t c = 0; c < st->n_cpus; c++) {
+        int64_t cpu_runs = 0;
+        for (e = 0; e < n_entries; e++) {
+            if (entry_cpu[e] == c) cpu_runs += entry_end[e] - entry_start[e];
+        }
+        if (line_set_reserve(st->seen + c, cpu_runs)) return WALK_NO_MEMORY;
+    }
 
     for (e = 0; e < n_entries; e++) {
         if (e > 0) {
@@ -555,10 +723,8 @@ int64_t walk_segment(
             entry_tally tally = {0, 0, 0, 0, 0, 0, 0};
             walk_entry_runs(
                 st, entry_cpu[e], entry_start[e], entry_end[e],
-                lines, l1_idx, l2_idx, write_any, store_fill, run_owners,
-                use_table, n_table, table_base, table_size, table_pow2,
-                way_table, way_rows, now,
-                flags, l1_victim_owner, l2_victim_owner, &tally);
+                lines, counts, write_any, write_all, run_owners, &maps,
+                now, &tally);
             int64_t stall =
                 (tally.l1_misses - tally.store_fills) * st->l2_hit_cycles
                 + tally.dram_reads * st->dram_access
@@ -574,17 +740,17 @@ int64_t walk_segment(
             out_dram_lines[e] = tally.dram_reads + tally.dram_writes;
             out_bus_cycles[e] = bus;
             out_store_fills[e] = tally.store_fills;
+            dram_reads += tally.dram_reads;
             dram_writes += tally.dram_writes;
-            read_conflicts += tally.read_conflicts;
-            write_conflicts += tally.write_conflicts;
+            conflicts += tally.read_conflicts + tally.write_conflicts;
         }
         now += (double)advance;
         elapsed += advance;
         if (kind != ENTRY_SWITCH) quantum -= cycles;
     }
 
-    counters[0] = dram_writes;
-    counters[1] = read_conflicts;
-    counters[2] = write_conflicts;
+    counters[0] = dram_reads;
+    counters[1] = dram_writes;
+    counters[2] = conflicts;
     return e;
 }

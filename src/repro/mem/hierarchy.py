@@ -29,10 +29,12 @@ Two engines implement the walk:
   and the bus demand model resident between calls, so batches of any
   size run in C, and :meth:`MemorySystem.execute_segment` prices a
   whole ordered schedule segment -- ``(cpu, owner, batch)`` entries
-  plus delays and context-switch traffic -- in a single C call.  Owner
-  resolution and set indices are vectorised with numpy beforehand, and
-  all per-owner statistics are reduced from the walk's per-run flags
-  in one ``bincount`` flush afterwards.
+  plus delays and context-switch traffic -- in a single C call.  Run
+  coalescing and owner resolution are vectorised with numpy
+  beforehand; set indices, per-owner statistics and cold-miss
+  classification are computed in C, and folded into the Python
+  :class:`~repro.mem.cache.CacheStats` models only when read
+  (:attr:`MemorySystem.l2_stats`, :meth:`MemorySystem.sync_state`).
 
 Both engines produce bit-identical statistics, which the differential
 test suite asserts.  The compiled engine runs the reference walk, and
@@ -40,8 +42,8 @@ says so once with a :class:`RuntimeWarning`, when it cannot run in C:
 no C walker could be built, the L2 uses ``random`` replacement (the
 reference walk owns the RNG stream), or a batch resolves a negative
 owner id.  The last degradation is permanent for the system -- the
-owner registry never produces such ids, and once such lines are
-resident their evictions would poison the vectorised statistics flush.
+owner registry never produces such ids, and the C statistics blocks
+are indexed by owner id.
 """
 
 from __future__ import annotations
@@ -70,8 +72,14 @@ from repro.mem.trace import AccessBatch
 
 __all__ = ["BatchResult", "HierarchyConfig", "MemorySystem", "SegmentEntry"]
 
-#: Shared empty owner list for the no-event stats flush.
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
+#: Stand-in for the C arguments a call does not read (no runs, no
+#: translation table).
+_PLACEHOLDER = np.zeros(1, dtype=np.int64)
+
+
+def _c_int64s(address: int, n: int) -> np.ndarray:
+    """A writable view of ``n`` C-owned int64 values."""
+    return np.ctypeslib.as_array((ctypes.c_int64 * n).from_address(address))
 
 
 @dataclass(frozen=True)
@@ -203,9 +211,12 @@ class _CompiledState:
     *are* the authoritative cache state; :meth:`sync_down` materialises
     them back into the Python cache models when something needs the
     dict/list view (repartitioning, tests, diagnostics).  Per-owner
-    statistics stay on the Python side -- the segment walk emits
-    per-run flags that :meth:`MemorySystem.execute_segment` reduces
-    with one bincount flush per segment.
+    statistics and the cold-miss seen sets live in the handle too: the
+    Python seen sets are imported when it is built, and
+    :meth:`fold_stats` adds the counters accumulated since the last
+    fold to the :class:`~repro.mem.cache.CacheStats` models (and the
+    newly seen lines to their seen sets), zeroing them C-side -- so
+    folding is delta-based and idempotent.
     """
 
     def __init__(self, mem: "MemorySystem", walker):
@@ -279,26 +290,28 @@ class _CompiledState:
             self.bus_demand.ctypes.data, self.bus_last.ctypes.data,
             self.bus_transfers.ctypes.data, self.bus_surcharge.ctypes.data,
             config.issue_cpi, config.l2_hit_cycles,
+            l1_geometry.line_size // 4,
         )
         if not handle:
             raise MemoryError("walker_state_new failed")
         self.handle = ctypes.c_void_p(handle)
+        for level, cache in enumerate(mem.caches()):
+            seen = np.fromiter(cache._seen, dtype=np.int64,
+                               count=len(cache._seen))
+            if seen.shape[0] and walker.seen_import(
+                self.handle, level, seen.ctypes.data, seen.shape[0]
+            ):
+                self.close()
+                raise MemoryError("walker_seen_import failed")
 
         # Reusable per-call scratch (the segment walker runs per
         # schedule step; allocating outputs per call dominates small
-        # segments).  Flags/victim slots need no zeroing between calls:
-        # the C walker assigns them for every executed run, and the
-        # flush only reads up to the last executed run.
+        # segments).
         self._entry_capacity = 0
-        self._run_capacity = 0
         self._entry_scratch: tuple = ()
-        self._run_scratch: tuple = ()
         self.counters = np.zeros(3, dtype=np.int64)
-        self._no_table = (
-            np.zeros(1, dtype=np.int64),
-            np.ones(1, dtype=np.int64),
-            np.ones(1, dtype=np.uint8),
-        )
+        self.counters_ptr = self.counters.ctypes.data
+        self._count = ctypes.c_int64()
 
     def entry_scratch(self, n: int) -> tuple:
         """Twelve per-entry int64 arrays (plus their raw addresses)."""
@@ -313,22 +326,59 @@ class _CompiledState:
             )
         return self._entry_scratch
 
-    def run_scratch(self, n: int) -> tuple:
-        """Per-run ``(flags, l1_victim, l2_victim)`` plus addresses."""
-        if n > self._run_capacity or not self._run_scratch:
-            self._run_capacity = max(2 * n, 4096)
-            arrays = (
-                np.zeros(self._run_capacity, dtype=np.uint8),
-                np.zeros(self._run_capacity, dtype=np.int64),
-                np.zeros(self._run_capacity, dtype=np.int64),
-            )
-            self._run_scratch = (
-                arrays, tuple(a.ctypes.data for a in arrays)
-            )
-        return self._run_scratch
+    def fold_stats(self, mem: "MemorySystem") -> None:
+        """Add the C-side statistics to the Python models; zero them in C.
+
+        Per level: the newly seen lines join the cache's seen set, and
+        each owner's counters join its
+        :class:`~repro.mem.cache.OwnerStats` (``hits`` is ``accesses -
+        misses``: only the first access of a run can miss, and a store
+        fill counts as a hit).  An owner gets a record when it accessed
+        the level or lost a line there -- exactly when the reference
+        walk creates one.
+        """
+        walker, handle, count = self.walker, self.handle, self._count
+        caches = mem.caches()
+        for level, cache in enumerate(caches):
+            fresh = walker.seen_drain(handle, level, ctypes.byref(count))
+            if count.value:
+                cache._seen.update(_c_int64s(fresh, count.value).tolist())
+        base = walker.stats(handle, ctypes.byref(count))
+        n_owners = count.value
+        rows = cwalker.STAT_ROWS + n_owners
+        blocks = _c_int64s(base, len(caches) * rows * n_owners).reshape(
+            len(caches), rows, n_owners
+        )
+        for cache, block in zip(caches, blocks):
+            if not block.any():
+                continue
+            stats = cache.stats
+            counters = block[:cwalker.STAT_ROWS]
+            matrix = block[cwalker.STAT_ROWS:]
+            active = (counters[cwalker.STAT_ACCESSES]
+                      | counters[cwalker.STAT_EVICTED])
+            for owner in np.flatnonzero(active).tolist():
+                accesses, misses, cold, writebacks, evicted = \
+                    counters[:, owner].tolist()
+                record = stats.owner(owner)
+                record.accesses += accesses
+                record.hits += accesses - misses
+                record.misses += misses
+                record.cold_misses += cold
+                record.writebacks += writebacks
+                record.evictions_suffered += evicted
+            evictors, victims = np.nonzero(matrix)
+            pairs = stats.eviction_matrix
+            for evictor, victim, n in zip(
+                evictors.tolist(), victims.tolist(),
+                matrix[evictors, victims].tolist(),
+            ):
+                pairs[evictor, victim] = pairs.get((evictor, victim), 0) + n
+            block[...] = 0
 
     def sync_down(self, mem: "MemorySystem") -> None:
         """Write the C-resident state back into the Python models."""
+        self.fold_stats(mem)
         span = self.l1_sets * self.l1_ways
         for i, l1 in enumerate(mem.l1s):
             l1.import_state(
@@ -407,18 +457,25 @@ class MemorySystem:
         #: Lazily built persistent C state (engine="compiled" only).
         self._compiled: Optional[_CompiledState] = None
         self._compiled_wanted = config.engine == "compiled"
-        #: (version, table) memo of the dense set-translation table.
-        self._set_table_memo: Optional[tuple] = None
-        #: (version, table) memo of the way-allocation table.
-        self._way_table_memo: Optional[tuple] = None
+        #: (map versions, arrays, C arguments) memo of _l2_maps.
+        self._l2_maps_memo: Optional[tuple] = None
 
     # -- configuration -----------------------------------------------------
 
     @property
     def l2_stats(self):
-        """Per-owner stats of the L2 (whichever implementation is live)."""
-        cache = self.l2 if self.l2 is not None else self.l2_way
-        return cache.stats
+        """Per-owner stats of the L2 (whichever implementation is live).
+
+        On the compiled engine this first folds the statistics the C
+        handle accumulated since the last fold (see :meth:`sync_state`).
+        """
+        if self._compiled is not None:
+            self._compiled.fold_stats(self)
+        return self.caches()[-1].stats
+
+    def caches(self) -> list:
+        """Every cache level in walker order: the per-CPU L1s, then the L2."""
+        return [*self.l1s, self.l2 if self.l2 is not None else self.l2_way]
 
     def reset_stats(self) -> None:
         """Zero all statistics without touching cache contents."""
@@ -442,9 +499,7 @@ class MemorySystem:
         self.sync_state()
         self._drop_compiled()
         flushed = 0
-        caches = list(self.l1s)
-        caches.append(self.l2 if self.l2 is not None else self.l2_way)
-        for cache in caches:
+        for cache in self.caches():
             for line, _owner in cache.invalidate_all():
                 self.memory.access(line, True, now)
                 flushed += 1
@@ -476,9 +531,7 @@ class MemorySystem:
         """
         self.quiesce()
         flushed = 0
-        caches = list(self.l1s)
-        caches.append(self.l2 if self.l2 is not None else self.l2_way)
-        for cache in caches:
+        for cache in self.caches():
             for owner in sorted(set(owners)):
                 for line in cache.invalidate_owner(owner):
                     self.memory.access(line, True, now)
@@ -491,11 +544,12 @@ class MemorySystem:
         """Materialise C-resident state back into the Python models.
 
         A no-op unless the compiled tier is live.  Cache contents, DRAM
-        bank timers and bus demand live C-side between compiled calls;
-        anything that wants the Python dict/list view (repartitioning,
-        direct cache inspection, the differential tests) calls this
-        first.  Idempotent -- the arrays stay authoritative and further
-        compiled calls continue from them.
+        bank timers, bus demand, per-owner statistics and the cold-miss
+        seen sets live C-side between compiled calls; anything that
+        wants the Python view (repartitioning, direct cache or
+        ``l1s[i].stats`` inspection, the differential tests) calls this
+        first.  Idempotent -- the arrays stay authoritative, statistics
+        fold as deltas, and further compiled calls continue from them.
         """
         if self._compiled is not None:
             self._compiled.sync_down(self)
@@ -526,8 +580,8 @@ class MemorySystem:
                                  "RNG stream only the reference walk draws")
         walker = cwalker.load()
         if walker is None:
-            return self._degrade("no C walker is available (no C compiler, "
-                                 "or the build failed)")
+            reason = cwalker.load_error() or "no C compiler, or the build failed"
+            return self._degrade(f"no C walker is available: {reason}")
         try:
             self._compiled = _CompiledState(self, walker)
         except MemoryError:
@@ -557,8 +611,32 @@ class MemorySystem:
         """
         return self._compiled_state() is not None
 
+    def _l2_maps(self) -> tuple:
+        """The L2 translation arguments of ``walk_segment`` (memoized).
+
+        ``(use_table, n_table, base, size, pow2, way_table, way_rows)``
+        with raw array addresses, rebuilt only when a partition map
+        changes; the memo keeps the arrays alive.
+        """
+        key = (self.set_map.version, self.way_map._version)
+        memo = self._l2_maps_memo
+        if memo is not None and memo[0] == key:
+            return memo[2]
+        use_table, n_table, way_rows = 0, 0, 0
+        base = size = pow2 = way_table = _PLACEHOLDER
+        if self.mode is PartitionMode.SET_PARTITIONED:
+            use_table = 1
+            n_table, base, size, pow2 = self._set_translation_table()
+        elif self.mode is PartitionMode.WAY_PARTITIONED:
+            way_rows, way_table = self._way_allocation_table()
+        arrays = (base, size, pow2, way_table)
+        args = (use_table, n_table, base.ctypes.data, size.ctypes.data,
+                pow2.ctypes.data, way_table.ctypes.data, way_rows)
+        self._l2_maps_memo = (key, arrays, args)
+        return args
+
     def _set_translation_table(self):
-        """Dense owner -> set-group table for the C walkers (memoized).
+        """Dense owner -> set-group table for the C walker.
 
         Row layout matches ``_walker.c``: rows ``0..n_table-1`` are the
         per-owner effective partitions (default mapping where none),
@@ -566,10 +644,6 @@ class MemorySystem:
         the table use the default row, which is correct because every
         partitioned or aliased owner is covered by construction.
         """
-        version = self.set_map.version
-        if self._set_table_memo is not None \
-                and self._set_table_memo[0] == version:
-            return self._set_table_memo[1]
         covered = set(self.set_map._partitions) | set(self.set_map._aliases)
         n_table = (max(covered) + 1) if covered else 0
         pool = self.set_map.default_pool
@@ -588,21 +662,15 @@ class MemorySystem:
             )
             tbl_base[owner], tbl_size[owner], tbl_pow2[owner] = row
         tbl_base[n_table], tbl_size[n_table], tbl_pow2[n_table] = default_row
-        table = (n_table, tbl_base, tbl_size, tbl_pow2)
-        self._set_table_memo = (version, table)
-        return table
+        return n_table, tbl_base, tbl_size, tbl_pow2
 
     def _way_allocation_table(self):
-        """Dense owner -> allocation-way table for the C walker (memoized).
+        """Dense owner -> allocation-way table for the C walker.
 
         ``way_rows + 1`` rows of ``l2_ways`` slots, -1 padded, in the
         owner's allocation-preference order; the last row (and every
         uncovered owner) gets all ways -- the unpartitioned default.
         """
-        version = self.way_map._version
-        if self._way_table_memo is not None \
-                and self._way_table_memo[0] == version:
-            return self._way_table_memo[1]
         ways = self.config.l2_geometry.ways
         assigned = self.way_map._ways_of
         way_rows = (max(assigned) + 1) if assigned else 0
@@ -612,9 +680,7 @@ class MemorySystem:
                 else tuple(range(ways))
             for k, way in enumerate(row):
                 table[owner * ways + k] = way
-        result = (way_rows, table)
-        self._way_table_memo = (version, result)
-        return result
+        return way_rows, table
 
     # -- execution -----------------------------------------------------------
 
@@ -724,19 +790,14 @@ class MemorySystem:
         """One C call over the whole segment; ``None`` when unsupported.
 
         Unsupported means: the compiled tier is down (engine, compiler,
-        random L2) or the segment resolves a negative owner id (the
-        registry never produces one; the oracle path handles it).
+        random L2), the segment resolves a negative owner id (the
+        registry never produces one; the oracle path handles it), or
+        the handle cannot grow its statistics for the segment.
         """
         state = self._compiled_state()
         if state is None or not entries:
             return None
-        config = self.config
-        line_shift = config.l1_geometry.line_shift
-        l1_mask = config.l1_geometry.index_mask
-        l2_mask = config.l2_geometry.index_mask
-        full_line_count = config.l1_geometry.line_size // 4
-        way_partitioned = self.mode is PartitionMode.WAY_PARTITIONED
-        set_partitioned = self.mode is PartitionMode.SET_PARTITIONED
+        line_shift = self.config.l1_geometry.line_shift
 
         n_entries = len(entries)
         entry_arrays, entry_ptrs = state.entry_scratch(n_entries)
@@ -747,9 +808,8 @@ class MemorySystem:
         line_parts = []
         count_parts = []
         wany_parts = []
-        sf_parts = []
+        wall_parts = []
         owner_parts = []
-        l2_idx_parts = []
         position = 0
         for index, entry in enumerate(entries):
             kinds[index] = entry.kind
@@ -768,102 +828,66 @@ class MemorySystem:
                 continue
             ends[index] = position + n_runs
             position += n_runs
-            owners_arr = self.resolver.resolve_many(
-                line_arr << line_shift, entry.owner
-            )
             line_parts.append(line_arr)
             count_parts.append(count_arr)
             wany_parts.append(wany_arr)
-            sf_parts.append(wall_arr & (count_arr >= full_line_count))
-            owner_parts.append(owners_arr)
-            if set_partitioned:
-                l2_idx_parts.append(
-                    self.set_map.map_index_many(owners_arr, line_arr)
-                )
+            wall_parts.append(wall_arr)
+            owner_parts.append(self.resolver.resolve_many(
+                line_arr << line_shift, entry.owner
+            ))
 
-        if position:
-            if len(line_parts) == 1:
-                lines_arr = line_parts[0]
-                counts_arr = count_parts[0]
-                # numpy bools are one byte: reinterpret, do not copy.
-                wany_u8 = wany_parts[0].view(np.uint8)
-                sf_u8 = sf_parts[0].view(np.uint8)
-                owners_arr = owner_parts[0]
-            else:
-                lines_arr = np.concatenate(line_parts)
-                counts_arr = np.concatenate(count_parts)
-                wany_u8 = np.concatenate(wany_parts).view(np.uint8)
-                sf_u8 = np.concatenate(sf_parts).view(np.uint8)
-                owners_arr = np.concatenate(owner_parts)
-            if int(owners_arr.min()) < 0:
-                # Negative owner ids take the oracle path -- stickily,
-                # because once such lines are resident any eviction
-                # would feed their owner into the vectorised flush.
-                # Hand the authoritative state back to the Python
-                # models first, otherwise the fallback would walk a
-                # stale view and its mutations would never reach the C
-                # arrays.
-                self.sync_state()
-                self._drop_compiled()
-                self._degrade("a batch resolved a negative owner id")
-                return None
-            l1_idx_arr = lines_arr & l1_mask
-            if set_partitioned:
-                l2_idx_arr = np.ascontiguousarray(
-                    l2_idx_parts[0] if len(l2_idx_parts) == 1
-                    else np.concatenate(l2_idx_parts),
-                    dtype=np.int64,
-                )
-            else:
-                l2_idx_arr = lines_arr & l2_mask
+        if len(line_parts) == 1:
+            lines_arr = line_parts[0]
+            counts_arr = count_parts[0]
+            # numpy bools are one byte: reinterpret, do not copy.
+            wany_u8 = wany_parts[0].view(np.uint8)
+            wall_u8 = wall_parts[0].view(np.uint8)
+            owners_arr = owner_parts[0]
+        elif line_parts:
+            lines_arr = np.concatenate(line_parts)
+            counts_arr = np.concatenate(count_parts)
+            wany_u8 = np.concatenate(wany_parts).view(np.uint8)
+            wall_u8 = np.concatenate(wall_parts).view(np.uint8)
+            owners_arr = np.concatenate(owner_parts)
         else:
-            lines_arr = counts_arr = owners_arr = state._no_table[0]
-            l1_idx_arr = l2_idx_arr = state._no_table[0]
-            wany_u8 = sf_u8 = state._no_table[2]
+            # No runs at all (delays, empty switches): C reads nothing.
+            lines_arr = counts_arr = owners_arr = _PLACEHOLDER
+            wany_u8 = wall_u8 = _PLACEHOLDER
 
-        if set_partitioned:
-            use_table = 1
-            n_table, tbl_base, tbl_size, tbl_pow2 = \
-                self._set_translation_table()
-        else:
-            use_table = 0
-            n_table = 0
-            tbl_base, tbl_size, tbl_pow2 = state._no_table
-        if way_partitioned:
-            way_rows, way_table = self._way_allocation_table()
-        else:
-            way_rows = 0
-            way_table = state._no_table[0]
-
-        run_arrays, run_ptrs = state.run_scratch(position)
-        flags, l1_vo, l2_vo = run_arrays
         counters = state.counters
-
         n_done = int(state.walker.walk_segment(
             state.handle, n_entries,
             entry_ptrs[0], entry_ptrs[1], entry_ptrs[2], entry_ptrs[3],
             entry_ptrs[4], entry_ptrs[5],
-            lines_arr.ctypes.data, l1_idx_arr.ctypes.data,
-            l2_idx_arr.ctypes.data,
-            wany_u8.ctypes.data, sf_u8.ctypes.data, owners_arr.ctypes.data,
-            use_table, n_table,
-            tbl_base.ctypes.data, tbl_size.ctypes.data, tbl_pow2.ctypes.data,
-            way_table.ctypes.data, way_rows,
+            lines_arr.ctypes.data, counts_arr.ctypes.data,
+            wany_u8.ctypes.data, wall_u8.ctypes.data, owners_arr.ctypes.data,
+            *self._l2_maps(),
             float(now),
             horizon if horizon != math.inf else 1e308,
             int(quantum), 1 if use_quantum else 0,
-            run_ptrs[0], run_ptrs[1], run_ptrs[2],
             entry_ptrs[6], entry_ptrs[7], entry_ptrs[8],
             entry_ptrs[9], entry_ptrs[10], entry_ptrs[11],
-            state.counters.ctypes.data,
+            state.counters_ptr,
         ))
+        if n_done < 0:
+            # Refused before walking anything.  Negative owner ids take
+            # the oracle path for good (the C statistics blocks are
+            # indexed by owner id).  Hand the authoritative state back
+            # to the Python models first, otherwise the fallback would
+            # walk a stale view and its mutations would never reach the
+            # C arrays.
+            self.quiesce()
+            self._degrade(
+                "a batch resolved a negative owner id"
+                if n_done == cwalker.WALK_NEGATIVE_OWNER
+                else "the C walker statistics could not grow"
+            )
+            return None
 
-        self._flush_segment_stats(
-            entries, n_done, ends, cpus,
-            lines_arr, counts_arr, owners_arr, sf_u8,
-            flags, l1_vo, l2_vo,
-            out_l2_misses, counters, state,
-        )
+        traffic = self.memory.traffic
+        traffic.line_reads += int(counters[0])
+        traffic.line_writes += int(counters[1])
+        traffic.bank_conflicts += int(counters[2])
 
         results: List[Optional[BatchResult]] = []
         elapsed = 0
@@ -889,116 +913,6 @@ class MemorySystem:
                 else int(out_cycles[index])
             )
         return n_done, results, elapsed
-
-    def _flush_segment_stats(
-        self, entries, n_done, ends, cpus,
-        lines_arr, counts_arr, owners_arr, sf_u8,
-        flags, l1_vo, l2_vo, out_l2_misses, counters, state,
-    ) -> None:
-        """Reduce the segment's per-run flags into the Python stats.
-
-        One bincount flush per segment: L1 accounting per CPU present
-        in the completed entries, L2 accounting over all completed runs,
-        cold misses by batch-first occurrence against the seen-sets,
-        DRAM traffic from the C counters.
-        """
-        run_end = int(ends[n_done - 1]) if n_done else 0
-        traffic = self.memory.traffic
-        dram_reads = int(out_l2_misses[:n_done].sum()) if n_done else 0
-        traffic.line_reads += dram_reads
-        traffic.line_writes += int(counters[0])
-        traffic.bank_conflicts += int(counters[1]) + int(counters[2])
-        if run_end == 0:
-            return
-        walker = state.walker
-        dflags = flags[:run_end]
-        downers = owners_arr[:run_end]
-        dlines = lines_arr[:run_end]
-        dcounts = counts_arr[:run_end]
-
-        # Which CPUs the completed batch entries ran on (the collector
-        # produces single-CPU segments; the general path stays correct
-        # for mixed ones).
-        done_cpus: List[int] = []
-        for i in range(n_done):
-            cpu = int(cpus[i])
-            if int(ends[i]) > (int(ends[i - 1]) if i else 0) \
-                    and cpu not in done_cpus:
-                done_cpus.append(cpu)
-        multi_cpu = len(done_cpus) > 1
-
-        if not dflags.any():
-            # Pure L1-hit stretch (the warm steady state): only the
-            # per-owner access/hit counts move.
-            empty = _EMPTY_I64
-            for cpu in done_cpus:
-                if multi_cpu:
-                    lengths = np.diff(
-                        np.concatenate(([0], ends[:n_done]))
-                    )
-                    mask = np.repeat(cpus[:n_done], lengths) == cpu
-                    s_owners, s_counts = downers[mask], dcounts[mask]
-                else:
-                    s_owners, s_counts = downers, dcounts
-                _flush_weighted_stats(
-                    self.l1s[cpu].stats, s_owners, s_counts,
-                    empty, empty, empty, empty, empty,
-                )
-            return
-
-        dsf = sf_u8[:run_end]
-        dl1_vo = l1_vo[:run_end]
-        dl2_vo = l2_vo[:run_end]
-        l1_miss_mask = (dflags & cwalker.FLAG_L1_MISS) != 0
-        demand_mask = (dflags & cwalker.FLAG_L2_DEMAND_MISS) != 0
-        l2_evict_mask = (dflags & cwalker.FLAG_L2_EVICT) != 0
-        l2_wb_mask = (dflags & cwalker.FLAG_L2_WB) != 0
-        probe_miss_mask = (dflags & cwalker.FLAG_L2_PROBE_MISS) != 0
-
-        # -- L1 accounting, grouped by the CPU of each entry ----------------
-        if multi_cpu:
-            lengths = np.diff(np.concatenate(([0], ends[:n_done])))
-            run_cpu = np.repeat(cpus[:n_done], lengths)
-        for cpu in done_cpus:
-            if multi_cpu:
-                mask = run_cpu == cpu
-                s_owners = downers[mask]
-                s_counts = dcounts[mask]
-                s_lines = dlines[mask]
-                s_flags = dflags[mask]
-                s_vo = dl1_vo[mask]
-            else:
-                s_owners, s_counts, s_lines = downers, dcounts, dlines
-                s_flags, s_vo = dflags, dl1_vo
-            s_miss = (s_flags & cwalker.FLAG_L1_MISS) != 0
-            s_evict = (s_flags & cwalker.FLAG_L1_EVICT) != 0
-            s_wb = (s_flags & cwalker.FLAG_L1_WB) != 0
-            l1 = self.l1s[cpu]
-            cold_runs, miss_lines = _first_misses(
-                walker, np.ascontiguousarray(s_lines), s_miss, l1._seen
-            )
-            l1._seen.update(miss_lines)
-            _flush_weighted_stats(
-                l1.stats, s_owners, s_counts,
-                s_owners[s_miss], s_owners[cold_runs],
-                s_owners[s_evict], s_vo[s_evict], s_vo[s_wb],
-            )
-
-        # -- L2 accounting over every completed run -------------------------
-        l2_cache = self.l2 if self.l2 is not None else self.l2_way
-        cold2_candidates, miss_lines2 = _first_misses(
-            walker, np.ascontiguousarray(dlines), probe_miss_mask,
-            l2_cache._seen,
-        )
-        cold2_runs = cold2_candidates[dsf[cold2_candidates] == 0]
-        l2_cache._seen.update(miss_lines2)
-        _flush_probe_stats(
-            l2_cache.stats,
-            downers[l1_miss_mask], downers[demand_mask],
-            downers[cold2_runs],
-            downers[l2_evict_mask], dl2_vo[l2_evict_mask],
-            dl2_vo[l2_wb_mask],
-        )
 
     def _execute_batch_reference(
         self, cpu_id: int, task_owner: int, batch: AccessBatch, now: float
@@ -1169,138 +1083,3 @@ class MemorySystem:
             self.memory.access(evicted[0], True, now)
             result.dram_lines += 1
         return hit
-
-
-# -- compiled-engine statistics flush -------------------------------------
-#
-# The C walk records outcomes as per-run flags and victim owners; these
-# helpers reduce them to per-owner deltas in one vectorised pass.  The
-# resulting OwnerStats values are identical to what the per-run
-# reference accounting produces, because hit/miss/access counts are
-# order-free sums.
-
-
-def _bincount(owner_list, minlength=0) -> np.ndarray:
-    """Per-owner occurrence counts of a flat owner-id list."""
-    return np.bincount(
-        np.asarray(owner_list, dtype=np.int64), minlength=minlength
-    )
-
-
-def _first_misses(walker, line_arr, miss_mask, seen):
-    """Batch-first misses of not-yet-seen lines (cold misses of a C walk).
-
-    Returns ``(cold_runs, missed_lines)``: the run indices whose miss
-    is the line's first at this level *and* whose line is absent from
-    ``seen`` (the reference marks a line seen at every miss, never at a
-    hit), plus the distinct missed lines to add to the seen-set.
-    """
-    miss_runs = np.flatnonzero(miss_mask)
-    n_misses = int(miss_runs.shape[0])
-    if n_misses == 0:
-        return miss_runs, []
-    missed = line_arr[miss_runs]
-    first_mask = np.zeros(n_misses, dtype=np.uint8)
-    if walker.first_occurrence(
-        missed.ctypes.data, n_misses, first_mask.ctypes.data,
-    ):
-        _, first_sub = np.unique(missed, return_index=True)
-    else:
-        first_sub = np.flatnonzero(first_mask)
-    first_runs = miss_runs[first_sub]
-    missed_lines = line_arr[first_runs].tolist()
-    if seen.issuperset(missed_lines):
-        # Warm steady state: every missed line was seen before, so no
-        # run is cold -- skip the per-line membership scan.
-        return first_runs[:0], missed_lines
-    pre_seen = np.fromiter(
-        (line in seen for line in missed_lines),
-        dtype=bool, count=len(missed_lines),
-    )
-    return first_runs[~pre_seen], missed_lines
-
-
-def _flush_events(stats, evictor_owners, victim_owners, wb_owners) -> None:
-    """Apply eviction-attribution and writeback events to ``stats``.
-
-    Events arrive as parallel evictor/victim owner lists; the
-    ``(evictor, victim)`` matrix is aggregated by packing each pair into
-    one integer key and running ``np.unique`` -- no per-event Python
-    work.
-    """
-    if len(victim_owners):
-        victims = np.asarray(victim_owners, dtype=np.int64)
-        suffered = np.bincount(victims)
-        for o in np.flatnonzero(suffered):
-            stats.owner(int(o)).evictions_suffered += int(suffered[o])
-        evictors = np.asarray(evictor_owners, dtype=np.int64)
-        key_mod = int(victims.max()) + 1
-        packed = evictors * key_mod + victims
-        matrix = stats.eviction_matrix
-        if int(evictors.max()) * key_mod < (1 << 22):
-            # Dense owner ids (the normal case): bincount beats the
-            # sort inside np.unique by an order of magnitude.
-            counts = np.bincount(packed)
-            for key in np.flatnonzero(counts):
-                pair = (int(key) // key_mod, int(key) % key_mod)
-                matrix[pair] = matrix.get(pair, 0) + int(counts[key])
-        else:
-            keys, counts = np.unique(packed, return_counts=True)
-            for key, n in zip(keys.tolist(), counts.tolist()):
-                pair = (key // key_mod, key % key_mod)
-                matrix[pair] = matrix.get(pair, 0) + n
-    if len(wb_owners):
-        flushed = _bincount(wb_owners)
-        for o in np.flatnonzero(flushed):
-            stats.owner(int(o)).writebacks += int(flushed[o])
-
-
-def _apply_owner_counts(stats, acc, miss_owners, cold_owners) -> None:
-    """Fold per-owner access/miss/cold counts into ``stats``.
-
-    ``hits`` is derived as ``accesses - misses`` -- exactly the
-    reference model's ``hits += n`` / ``hits += n - 1`` bookkeeping,
-    summed (only a run's first access can miss).
-    """
-    n_owners = len(acc)
-    miss = _bincount(miss_owners, n_owners)
-    cold = _bincount(cold_owners, n_owners)
-    for o in np.flatnonzero(acc):
-        owner_stats = stats.owner(int(o))
-        a = int(acc[o])
-        m = int(miss[o])
-        owner_stats.accesses += a
-        owner_stats.hits += a - m
-        owner_stats.misses += m
-        c = int(cold[o])
-        if c:
-            owner_stats.cold_misses += c
-
-
-def _flush_weighted_stats(
-    stats, owners_arr, count_arr, miss_owners, cold_owners,
-    evictor_owners, victim_owners, wb_owners,
-) -> None:
-    """L1-style accounting: every run accesses with its full run length."""
-    n_owners = int(owners_arr.max()) + 1
-    acc = np.bincount(owners_arr, weights=count_arr, minlength=n_owners)
-    _apply_owner_counts(stats, acc, miss_owners, cold_owners)
-    _flush_events(stats, evictor_owners, victim_owners, wb_owners)
-
-
-def _flush_probe_stats(
-    stats, probe_owners, miss_owners, cold_owners,
-    evictor_owners, victim_owners, wb_owners,
-) -> None:
-    """L2-style accounting: one single-access probe per L1-missing run.
-
-    Store fills are probes that never count as demand misses (the
-    reference path books then cancels the miss; the net effect is an
-    access plus a hit, which is what omitting them from ``miss_owners``
-    produces here).
-    """
-    if len(probe_owners):
-        probes = np.asarray(probe_owners, dtype=np.int64)
-        acc = np.bincount(probes, minlength=int(probes.max()) + 1)
-        _apply_owner_counts(stats, acc, miss_owners, cold_owners)
-    _flush_events(stats, evictor_owners, victim_owners, wb_owners)

@@ -21,7 +21,12 @@ import time
 
 import pytest
 
-from repro.core.profiling import profiling_passes
+from repro.apps.synthetic import make_pipeline
+from repro.core.profiling import (
+    profile_miss_curves,
+    profiling_passes,
+    thread_profiling_passes,
+)
 from repro.errors import ConfigurationError, ServiceError
 from repro.exp import (
     ExperimentRunner,
@@ -336,6 +341,36 @@ def _start_workers(url, count, stop):
         thread.start()
         threads.append(thread)
     return threads
+
+
+def test_thread_profiling_passes_ignore_other_threads():
+    """Worker threads sharing a process report only their own sweeps:
+    a task's before/after delta must not pick up another thread's
+    concurrent profiling pass."""
+    config = CakeConfig(
+        n_cpus=1,
+        hierarchy=HierarchyConfig(
+            l1_geometry=CacheGeometry(sets=16, ways=2, line_size=64),
+            l2_geometry=CacheGeometry(sets=64, ways=4, line_size=64),
+        ),
+    )
+    own_before, total_before = thread_profiling_passes(), profiling_passes()
+    other_counts = []
+
+    def profile_elsewhere():
+        profile_miss_curves(
+            lambda: make_pipeline(n_tokens=2, work_bytes=1024), config,
+            sizes=[1],
+        )
+        other_counts.append(thread_profiling_passes())
+
+    thread = threading.Thread(target=profile_elsewhere)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert other_counts == [1]
+    assert profiling_passes() == total_before + 1
+    assert thread_profiling_passes() == own_before
 
 
 def test_three_way_fingerprint_parity_and_warm_fleet(tmp_path):

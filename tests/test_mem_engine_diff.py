@@ -18,6 +18,7 @@ this contract -- violating it corrupts its bookkeeping too).
 
 import contextlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ from repro.mem.cache import CacheGeometry
 from repro.mem.hierarchy import HierarchyConfig, MemorySystem, SegmentEntry
 from repro.mem.partition import PartitionMode
 from repro.mem.trace import AccessBatch
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - CI installs no hypothesis
+    HAVE_HYPOTHESIS = False
 
 C_AVAILABLE = cwalker.load() is not None
 
@@ -83,10 +92,15 @@ def assert_systems_identical(reference, compiled, context):
         assert ref_l1.eviction_matrix == comp_l1.eviction_matrix, (
             context, "l1 matrix", cpu,
         )
+        assert reference.l1s[cpu]._seen == compiled.l1s[cpu]._seen, (
+            context, "l1 seen", cpu,
+        )
     assert reference.l2_stats.per_owner == compiled.l2_stats.per_owner, \
         context
     assert (reference.l2_stats.eviction_matrix
             == compiled.l2_stats.eviction_matrix), context
+    assert (reference.caches()[-1]._seen
+            == compiled.caches()[-1]._seen), (context, "l2 seen")
     assert vars(reference.memory.traffic) == \
         vars(compiled.memory.traffic), context
     assert reference.bus.total_transfers == compiled.bus.total_transfers, \
@@ -373,6 +387,47 @@ def test_compiled_engine_degrades_for_random_l2():
     assert not system.segment_ready
 
 
+def _reset_walker_load(monkeypatch, tmp_path):
+    """Make the next cwalker.load() compile afresh into ``tmp_path``."""
+    monkeypatch.setattr(cwalker, "_BUILD_DIR", str(tmp_path / "build"))
+    monkeypatch.setattr(cwalker, "_walker", None)
+    monkeypatch.setattr(cwalker, "_load_attempted", False)
+    monkeypatch.setattr(cwalker, "_load_error", None)
+
+
+def test_fallback_warning_names_the_compiler_failure(tmp_path, monkeypatch):
+    """A failing compiler's exit status and stderr tail reach the
+    compiled engine's fallback warning."""
+    fake_cc = tmp_path / "fake-cc"
+    fake_cc.write_text(
+        "#!/bin/sh\necho '_walker.c:1: error: simulated failure' >&2\n"
+        "exit 3\n"
+    )
+    fake_cc.chmod(0o755)
+    monkeypatch.setenv("CC", str(fake_cc))
+    _reset_walker_load(monkeypatch, tmp_path)
+    assert cwalker.load() is None
+    reason = cwalker.load_error()
+    assert "exited with status 3" in reason, reason
+    assert "simulated failure" in reason, reason
+    mem = MemorySystem(1, HierarchyConfig(engine="compiled"))
+    with pytest.warns(RuntimeWarning, match="no C walker") as record:
+        mem.execute_batch(0, 1, AccessBatch.from_addresses([0, 64]), 0.0)
+    assert len(record) == 1
+    assert "simulated failure" in str(record[0].message)
+
+
+def test_fallback_warning_names_a_missing_compiler(tmp_path, monkeypatch):
+    monkeypatch.delenv("CC", raising=False)
+    monkeypatch.setenv("PATH", str(tmp_path))  # no compiler on PATH
+    _reset_walker_load(monkeypatch, tmp_path)
+    assert cwalker.load() is None
+    assert "no C compiler found" in cwalker.load_error()
+    mem = MemorySystem(1, HierarchyConfig(engine="compiled"))
+    with pytest.warns(RuntimeWarning, match="no C compiler found"):
+        assert not mem.segment_ready
+
+
 def test_engine_config_validated():
     assert HierarchyConfig.ENGINES == ("reference", "compiled")
     assert HierarchyConfig().engine == "compiled"
@@ -398,12 +453,16 @@ def test_cold_misses_after_forget_history(walker, monkeypatch):
             0, 1, AccessBatch.from_addresses(np.arange(200) * 64), 0.0
         )
         # Only the cold classifiers forget: the lines stay resident
-        # (C-side on the compiled engine) yet become unseen.
+        # (C-side on the compiled engine) yet become unseen.  Seen sets
+        # live in the C handle too, so the Python-side mutation is
+        # preceded by quiesce() -- the documented mutation contract.
+        mem.quiesce()
         mem.l1s[0].forget_history()
         mem.l2.forget_history()
         rng = np.random.default_rng(3)
         batch = AccessBatch.from_addresses(rng.integers(0, 300, 5000) * 64)
         mem.execute_batch(0, 1, batch, 100.0)
+        mem.sync_state()  # fold C-side statistics and seen sets
         return (
             mem.l1s[0].stats.per_owner,
             mem.l2_stats.per_owner,
@@ -444,3 +503,162 @@ def test_repartition_in_way_mode():
     writes = AccessBatch.from_addresses([0, 64], writes=True)
     mem.execute_batch(0, 1, writes, now=0.0)
     assert mem.repartition() == 4  # two dirty lines per level
+
+
+# -- per-owner statistics: generated segments ---------------------------------
+#
+# The compiled engine keeps per-owner counters, eviction matrices and
+# cold-miss seen sets in the C handle and folds them into the Python
+# models on demand.  These properties drive both engines with generated
+# multi-entry segments and compare every level after each run.
+
+#: Task owner ids in order of appearance: later segments bring larger
+#: ids, so the C statistics blocks must grow mid-run.
+TASK_POOL = (1, 2, 23, 40, 77)
+
+#: Set-partitioned maps over the 32-set L2: aliases, non-power-of-two
+#: groups, a default pool, a late owner with its own partition.
+SET_MAPS = (
+    dict(assign=[(1, 0, 8), (7, 8, 3)], alias=[(8, 7)], pool=(16, 16)),
+    dict(assign=[(2, 0, 4), (23, 4, 5), (77, 9, 7)], alias=[(40, 23)],
+         pool=None),
+    dict(assign=[(8, 0, 6), (40, 6, 2)], alias=[(7, 8), (1, 40)],
+         pool=(8, 24)),
+)
+WAY_MAPS = (
+    {1: (0, 1), 7: (2,)},
+    {23: (3,), 40: (0, 1), 8: (2,)},
+)
+
+
+def build_generated_system(engine, mode, l2_policy, n_cpus, maps):
+    config = HierarchyConfig(
+        l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
+        l2_geometry=CacheGeometry(sets=32, ways=4, line_size=64),
+        engine=engine,
+        l2_policy=l2_policy,
+    )
+    mem = MemorySystem(n_cpus, config, mode=mode)
+    mem.resolver.intervals.add(0, 4096, owner=7)
+    mem.resolver.intervals.add(1 << 20, (1 << 20) + 8192, owner=8)
+    if mode is PartitionMode.SET_PARTITIONED:
+        for owner, base, n_sets in maps["assign"]:
+            mem.set_map.assign(owner, base=base, n_sets=n_sets)
+        for owner, target in maps["alias"]:
+            mem.set_map.alias(owner, target)
+        if maps["pool"] is not None:
+            mem.set_map.set_default_pool(*maps["pool"])
+    elif mode is PartitionMode.WAY_PARTITIONED:
+        for owner, ways in maps.items():
+            mem.way_map.assign(owner, ways)
+    return mem
+
+
+def generated_batch(rnd, owner):
+    """Private traffic (the owner's own region), shared-buffer traffic
+    or full-line streaming stores, reads and writes mixed."""
+    rng = np.random.default_rng(rnd.getrandbits(32))
+    n = rnd.randint(20, 300)
+    kind = rnd.randrange(3)
+    private_base = owner << 22
+    if kind == 0:
+        addrs = private_base + (rng.integers(0, 1 << 15, n) & ~3)
+        writes = rng.random(n) < 0.4
+    elif kind == 1:
+        addrs = np.where(rng.random(n) < 0.5,
+                         rng.integers(0, 4096, n),
+                         (1 << 20) + rng.integers(0, 8192, n)) & ~3
+        writes = rng.random(n) < 0.5
+    else:
+        start = private_base + (rnd.randrange(1 << 14) & ~63)
+        addrs = start + 4 * np.arange(n)
+        writes = np.ones(n, dtype=bool)
+    return AccessBatch.from_addresses(addrs, writes=writes,
+                                      instructions=rnd.randint(0, 2000))
+
+
+def generated_segment(rnd, n_cpus, owners):
+    entries = []
+    for _ in range(rnd.randint(1, 7)):
+        kind = rnd.randrange(5)
+        cpu = rnd.randrange(n_cpus)
+        owner = rnd.choice(owners)
+        if kind == 0:
+            entries.append(SegmentEntry.delay(rnd.randint(0, 400)))
+        elif kind == 1:
+            entries.append(SegmentEntry.switch(
+                cpu, owner, generated_batch(rnd, owner), rnd.randint(1, 500)
+            ))
+        else:
+            entries.append(SegmentEntry.compute(
+                cpu, owner, generated_batch(rnd, owner)
+            ))
+    return entries
+
+
+def _check_stats_differential(rnd, quiesce_at=None):
+    """Both engines over generated segments; every level's statistics,
+    seen sets and DRAM traffic must agree, mid-run folds and an
+    optional mid-run quiesce included."""
+    mode = rnd.choice(list(PartitionMode))
+    l2_policy = rnd.choice(["lru", "fifo"])
+    n_cpus = rnd.randint(1, 3)
+    maps = rnd.choice(
+        SET_MAPS if mode is PartitionMode.SET_PARTITIONED else WAY_MAPS
+    )
+    context = (mode, l2_policy, n_cpus, maps)
+    reference = build_generated_system(
+        "reference", mode, l2_policy, n_cpus, maps
+    )
+    compiled = build_generated_system(
+        "compiled", mode, l2_policy, n_cpus, maps
+    )
+    n_segments = rnd.randint(2, 6)
+    if quiesce_at is None and rnd.random() < 0.3:
+        quiesce_at = rnd.randrange(n_segments - 1)
+    now = 0.0
+    for index in range(n_segments):
+        owners = TASK_POOL[:2 + index]
+        entries = generated_segment(rnd, n_cpus, owners)
+        ref = reference.execute_segment(entries, now)
+        comp = compiled.execute_segment(entries, now)
+        assert ref == comp, (context, index)
+        now += ref[2] + 1
+        if rnd.random() < 0.4:
+            # A mid-run read folds the C counters; folding again (and
+            # later) must neither lose nor double-count anything.
+            assert (compiled.l2_stats.per_owner
+                    == reference.l2_stats.per_owner), (context, index)
+            compiled.sync_state()
+        if index == quiesce_at:
+            compiled.quiesce()  # continue on a rebuilt handle
+    assert compiled._compiled is not None  # really ran the C walker
+    assert_systems_identical(reference, compiled, context)
+    # A second fold adds nothing.
+    assert_systems_identical(reference, compiled, context)
+
+
+if HAVE_HYPOTHESIS:
+
+    @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_generated_segments_fold_identical_stats(rnd):
+        _check_stats_differential(rnd)
+
+else:  # pragma: no cover - exercised only without hypothesis
+
+    @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+    def test_generated_segments_fold_identical_stats():
+        for case in range(40):
+            _check_stats_differential(random.Random(f"20050307-{case}"))
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("seed", [3, 11])
+def test_quiesce_mid_run_keeps_stats_exact(seed):
+    """Quiesce after the first segment and continue on a rebuilt
+    handle: no statistic is double-counted and no line seen before the
+    rebuild is classified cold again."""
+    rnd = random.Random(seed)
+    _check_stats_differential(rnd, quiesce_at=0)
