@@ -28,7 +28,12 @@ Quickstart::
     print(report.summary())
 """
 
+import logging
+
 __version__ = "1.0.0"
+
+# Library logging stays silent until the application configures it.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from repro.errors import (
     AddressError,

@@ -10,8 +10,21 @@
  * any size -- and whole schedule segments of consecutive deterministic
  * ops, via `walk_segment` -- run without re-marshalling.
  *
- * The replay body (`walk_entry_runs`) executes, run by run, exactly
- * the state sequence of the reference engine:
+ * `walk_segment` takes each entry's raw access stream -- a pointer to
+ * its int64 byte addresses and one to its 0/1 store flags, plus the
+ * access count and the issuing task's owner id; nothing is copied or
+ * concatenated on the Python side.  A pre-pass (`coalesce_entry`)
+ * run-length encodes every entry on its own (runs never merge across
+ * entries) into a run buffer the handle owns -- line, length,
+ * any-store / all-store flags and owner per run; it grows
+ * geometrically and is freed with the handle.  A run's owner is looked
+ * up from its line base address (`line << line_shift`) in the sorted
+ * OS interval table passed with the call (bases, ends, owners; paper
+ * 4.2), falling back to the entry's task owner -- exactly the
+ * reference walk's `resolve(line << line_shift, owner)`.
+ *
+ * The replay body (`walk_entry_runs`) then executes, run by run,
+ * exactly the state sequence of the reference engine:
  *
  *   L1 probe -> (miss) L1 fill + eviction -> dirty-victim writeback
  *   probe into the L2 -> L2 probe (demand or store fill) -> L2 fill +
@@ -163,8 +176,8 @@ static inline int line_set_insert(line_set *s, int64_t line) {
  * Python side keeps them alive for the handle's lifetime) plus the
  * scalar model parameters.  Nothing is copied: the arrays ARE the
  * authoritative cache/bank/bus state between calls, so no call pays a
- * per-batch marshalling cost.  The statistics blocks and seen sets are
- * C-owned and freed with the handle. */
+ * per-batch marshalling cost.  The statistics blocks, seen sets and the
+ * run buffer are C-owned and freed with the handle. */
 
 typedef struct {
     int64_t n_cpus;
@@ -193,12 +206,33 @@ typedef struct {
     int64_t l2_hit_cycles;
     /* a write-only run touching this many spots fills its line */
     int64_t full_line_count;
+    /* byte address -> line address */
+    int64_t line_shift;
     /* statistics: n_cpus + 1 blocks of (STAT_ROWS + n_owners) rows of
      * n_owners counters, and one seen-line set per level */
     int64_t n_owners;
     int64_t *stats;
     line_set *seen;
+    /* the run buffer of the current walk_segment call (see run_buffer) */
+    void *run_block;
+    int64_t run_capacity;
+    int64_t *entry_runs;    /* entry e owns runs [entry_runs[e], [e+1]) */
+    int64_t entry_capacity;
 } walker_state;
+
+/* The coalesced runs of one walk_segment call, carved out of the
+ * handle's run block: parallel arrays indexed by run. */
+typedef struct {
+    int64_t *lines, *counts, *owners;
+    uint8_t *write_any, *write_all;
+} run_buffer;
+
+/* The OS interval table of one call: sorted, non-overlapping
+ * [base, end) byte ranges and their owner ids. */
+typedef struct {
+    int64_t n;
+    const int64_t *bases, *ends, *owners;
+} interval_table;
 
 /* The per-call translation inputs of the L2. */
 typedef struct {
@@ -497,6 +531,8 @@ void walker_state_free(void *state) {
         free(st->seen);
     }
     free(st->stats);
+    free(st->run_block);
+    free(st->entry_runs);
     free(st);
 }
 
@@ -515,7 +551,8 @@ void *walker_state_new(
     double bus_decay, double bus_max_surcharge,
     double *bus_demand, double *bus_last,
     int64_t *bus_transfers_total, double *bus_surcharge_total,
-    double issue_cpi, int64_t l2_hit_cycles, int64_t full_line_count)
+    double issue_cpi, int64_t l2_hit_cycles, int64_t full_line_count,
+    int64_t line_shift)
 {
     walker_state *st = (walker_state *)calloc(1, sizeof(walker_state));
     if (st == NULL) return NULL;
@@ -551,6 +588,7 @@ void *walker_state_new(
     st->issue_cpi = issue_cpi;
     st->l2_hit_cycles = l2_hit_cycles;
     st->full_line_count = full_line_count;
+    st->line_shift = line_shift;
 
     /* Resident lines may be evicted before their owner walks again:
      * size the blocks for every imported owner (and at least one). */
@@ -636,10 +674,101 @@ static int64_t bus_price(walker_state *st, int64_t cpu, int64_t n,
     return (int64_t)((double)base + extra);
 }
 
+/* ====================================================================
+ * Run coalescing and owner resolution (the walk_segment pre-pass)
+ * ==================================================================== */
+
+/* Room for `n_runs` runs and the run bounds of `n_entries` entries;
+ * 1 on failure (the old buffers stay as they were). */
+static int run_buffer_reserve(walker_state *st, int64_t n_runs,
+                              int64_t n_entries) {
+    if (n_runs > st->run_capacity) {
+        int64_t capacity = st->run_capacity ? 2 * st->run_capacity : 1024;
+        while (capacity < n_runs) capacity <<= 1;
+        /* three int64 arrays, then two byte arrays (see run_buffer_of) */
+        void *block =
+            malloc((size_t)capacity * (3 * sizeof(int64_t) + 2));
+        if (block == NULL) return 1;
+        free(st->run_block);
+        st->run_block = block;
+        st->run_capacity = capacity;
+    }
+    if (n_entries + 1 > st->entry_capacity) {
+        int64_t capacity = 2 * (n_entries + 1);
+        int64_t *bounds = (int64_t *)realloc(
+            st->entry_runs, (size_t)capacity * sizeof(int64_t));
+        if (bounds == NULL) return 1;
+        st->entry_runs = bounds;
+        st->entry_capacity = capacity;
+    }
+    return 0;
+}
+
+static run_buffer run_buffer_of(const walker_state *st) {
+    int64_t capacity = st->run_capacity;
+    int64_t *words = (int64_t *)st->run_block;
+    uint8_t *bytes = (uint8_t *)(words + 3 * capacity);
+    run_buffer runs = {words, words + capacity, words + 2 * capacity,
+                       bytes, bytes + capacity};
+    return runs;
+}
+
+/* OwnerResolver.resolve: the owner of the interval holding `addr` (the
+ * last base <= addr, when addr is below its end), else the task's. */
+static inline int64_t resolve_owner(const interval_table *intervals,
+                                    int64_t addr, int64_t task_owner) {
+    int64_t lo = 0, hi = intervals->n;  /* first base > addr */
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (intervals->bases[mid] <= addr) lo = mid + 1;
+        else hi = mid;
+    }
+    if (lo > 0 && addr < intervals->ends[lo - 1])
+        return intervals->owners[lo - 1];
+    return task_owner;
+}
+
+/* coalesce_runs of repro.mem.trace over one entry's n accesses (store
+ * flags are 0/1 bytes), with each run's owner resolved from its line
+ * base address; the runs go to `runs` from index r on.  Returns one
+ * past the entry's last run. */
+static int64_t coalesce_entry(const walker_state *st, const run_buffer *runs,
+                              int64_t r, const int64_t *addrs,
+                              const uint8_t *writes, int64_t n,
+                              int64_t task_owner,
+                              const interval_table *intervals) {
+    const int64_t shift = st->line_shift;
+    int64_t i = 0;
+    while (i < n) {
+        int64_t line = addrs[i] >> shift;
+        uint8_t any = writes[i], all = writes[i];
+        int64_t j = i + 1;
+        while (j < n && addrs[j] >> shift == line) {
+            any |= writes[j];
+            all &= writes[j];
+            j++;
+        }
+        runs->lines[r] = line;
+        runs->counts[r] = j - i;
+        runs->write_any[r] = any;
+        runs->write_all[r] = all;
+        runs->owners[r] = resolve_owner(
+            intervals, (int64_t)((uint64_t)line << shift), task_owner);
+        r++;
+        i = j;
+    }
+    return r;
+}
+
 /* Execute up to n_entries schedule entries; returns how many ran, or a
  * negative WALK_* code when it refused to start (state untouched): a
- * run resolved a negative owner id, or the statistics blocks / seen
- * sets could not grow to cover the segment.
+ * run resolved a negative owner id, or the run buffer, statistics
+ * blocks or seen sets could not grow to cover the segment.
+ *
+ * Entry e brings entry_accesses[e] accesses (0 for delays and switches
+ * without traffic) at entry_addrs[e] / entry_writes[e], issued by task
+ * entry_owner[e]; the interval table resolves buffer owners (see the
+ * file header).
  *
  * Entry kinds: ENTRY_COMPUTE walks its runs and advances the clock by
  * the computed cycle cost; ENTRY_DELAY advances by entry_advance[e]
@@ -662,11 +791,11 @@ int64_t walk_segment(
     void *state_ptr,
     int64_t n_entries,
     const int64_t *entry_kind, const int64_t *entry_cpu,
-    const int64_t *entry_start, const int64_t *entry_end,
+    const int64_t *entry_owner, const int64_t *entry_accesses,
+    const int64_t *const *entry_addrs, const uint8_t *const *entry_writes,
     const int64_t *entry_instr, const int64_t *entry_advance,
-    const int64_t *lines, const int64_t *counts,
-    const uint8_t *write_any, const uint8_t *write_all,
-    const int64_t *run_owners,
+    int64_t n_intervals, const int64_t *interval_base,
+    const int64_t *interval_end, const int64_t *interval_owner,
     int64_t use_table, int64_t n_table,
     const int64_t *table_base, const int64_t *table_size,
     const uint8_t *table_pow2,
@@ -681,24 +810,39 @@ int64_t walk_segment(
     walker_state *st = (walker_state *)state_ptr;
     const l2_maps maps = {use_table, n_table, table_base, table_size,
                           table_pow2, way_table, way_rows};
+    const interval_table intervals = {n_intervals, interval_base,
+                                      interval_end, interval_owner};
     int64_t dram_reads = 0, dram_writes = 0, conflicts = 0;
     int64_t elapsed = 0;
     int64_t e;
 
-    /* Make room for everything the segment can add, before any state
+    /* Coalesce every entry and resolve its run owners, then make room
+     * for everything the segment can add -- all before any state
      * moves: a wider block for new owners, seen-set slots per level. */
-    int64_t n_runs = n_entries ? entry_end[n_entries - 1] : 0;
+    int64_t n_accesses = 0;
+    for (e = 0; e < n_entries; e++) n_accesses += entry_accesses[e];
+    if (run_buffer_reserve(st, n_accesses, n_entries)) return WALK_NO_MEMORY;
+    const run_buffer runs = run_buffer_of(st);
+    int64_t *bounds = st->entry_runs;
+    int64_t n_runs = 0;
+    bounds[0] = 0;
+    for (e = 0; e < n_entries; e++) {
+        n_runs = coalesce_entry(st, &runs, n_runs, entry_addrs[e],
+                                entry_writes[e], entry_accesses[e],
+                                entry_owner[e], &intervals);
+        bounds[e + 1] = n_runs;
+    }
     int64_t max_owner = -1;
     for (int64_t i = 0; i < n_runs; i++) {
-        if (run_owners[i] < 0) return WALK_NEGATIVE_OWNER;
-        if (run_owners[i] > max_owner) max_owner = run_owners[i];
+        if (runs.owners[i] < 0) return WALK_NEGATIVE_OWNER;
+        if (runs.owners[i] > max_owner) max_owner = runs.owners[i];
     }
     if (stats_reserve(st, max_owner + 1)) return WALK_NO_MEMORY;
     if (line_set_reserve(st->seen + st->n_cpus, n_runs)) return WALK_NO_MEMORY;
     for (int64_t c = 0; c < st->n_cpus; c++) {
         int64_t cpu_runs = 0;
         for (e = 0; e < n_entries; e++) {
-            if (entry_cpu[e] == c) cpu_runs += entry_end[e] - entry_start[e];
+            if (entry_cpu[e] == c) cpu_runs += bounds[e + 1] - bounds[e];
         }
         if (line_set_reserve(st->seen + c, cpu_runs)) return WALK_NO_MEMORY;
     }
@@ -722,9 +866,9 @@ int64_t walk_segment(
         } else {
             entry_tally tally = {0, 0, 0, 0, 0, 0, 0};
             walk_entry_runs(
-                st, entry_cpu[e], entry_start[e], entry_end[e],
-                lines, counts, write_any, write_all, run_owners, &maps,
-                now, &tally);
+                st, entry_cpu[e], bounds[e], bounds[e + 1], runs.lines,
+                runs.counts, runs.write_any, runs.write_all, runs.owners,
+                &maps, now, &tally);
             int64_t stall =
                 (tally.l1_misses - tally.store_fills) * st->l2_hit_cycles
                 + tally.dram_reads * st->dram_access

@@ -120,7 +120,7 @@ STAT_ROWS = 5
 
 #: ``walk_segment``'s refusal of a negative owner id (nothing walked);
 #: must match ``_walker.c``.  Any other negative return means the handle
-#: could not grow its statistics for the segment.
+#: could not grow its run buffer or statistics for the segment.
 WALK_NEGATIVE_OWNER = -1
 
 
@@ -189,7 +189,7 @@ def load() -> Optional[CWalker]:
         ptr, ptr,                   # bus demand / last-update
         ptr, ptr,                   # bus transfers / surcharge totals
         f64, i64,                   # issue_cpi, l2_hit_cycles
-        i64,                        # full_line_count
+        i64, i64,                   # full_line_count, line_shift
     ]
     state_free.restype = None
     state_free.argtypes = [ctypes.c_void_p]
@@ -198,11 +198,10 @@ def load() -> Optional[CWalker]:
         ctypes.c_void_p,            # state
         i64,                        # n_entries
         ptr, ptr,                   # entry kind / cpu
-        ptr, ptr,                   # entry run ranges [start, end)
+        ptr, ptr,                   # entry task owner / access count
+        ptr, ptr,                   # entry address / store-flag pointers
         ptr, ptr,                   # entry instructions / fixed advance
-        ptr, ptr,                   # run lines, run lengths
-        ptr, ptr,                   # write_any, write_all
-        ptr,                        # run_owners
+        i64, ptr, ptr, ptr,         # interval count, bases/ends/owners
         i64, i64,                   # use_table, n_table
         ptr, ptr, ptr,              # table base/size/pow2
         ptr, i64,                   # way allocation table, way_rows

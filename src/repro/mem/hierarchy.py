@@ -29,26 +29,30 @@ Two engines implement the walk:
   and the bus demand model resident between calls, so batches of any
   size run in C, and :meth:`MemorySystem.execute_segment` prices a
   whole ordered schedule segment -- ``(cpu, owner, batch)`` entries
-  plus delays and context-switch traffic -- in a single C call.  Run
-  coalescing and owner resolution are vectorised with numpy
-  beforehand; set indices, per-owner statistics and cold-miss
-  classification are computed in C, and folded into the Python
+  plus delays and context-switch traffic -- in a single C call.  C
+  reads each batch's raw address and store-flag arrays in place and
+  does everything from there: run coalescing, owner resolution against
+  the interval table (passed as arrays, memoized on the table's
+  version), set indices, per-owner statistics and cold-miss
+  classification.  The statistics are folded into the Python
   :class:`~repro.mem.cache.CacheStats` models only when read
   (:attr:`MemorySystem.l2_stats`, :meth:`MemorySystem.sync_state`).
 
 Both engines produce bit-identical statistics, which the differential
 test suite asserts.  The compiled engine runs the reference walk, and
-says so once with a :class:`RuntimeWarning`, when it cannot run in C:
-no C walker could be built, the L2 uses ``random`` replacement (the
-reference walk owns the RNG stream), or a batch resolves a negative
-owner id.  The last degradation is permanent for the system -- the
-owner registry never produces such ids, and the C statistics blocks
-are indexed by owner id.
+says so once with a :class:`RuntimeWarning` and one ``repro.mem`` log
+line, when it cannot run in C: no C walker could be built, the L2 uses
+``random`` replacement (the reference walk owns the RNG stream), or a
+batch resolves a negative owner id.  The reason is kept in
+:attr:`MemorySystem.fallback_reason`.  The last degradation is
+permanent for the system -- the owner registry never produces such
+ids, and the C statistics blocks are indexed by owner id.
 """
 
 from __future__ import annotations
 
 import ctypes
+import logging
 import math
 import warnings
 
@@ -72,8 +76,10 @@ from repro.mem.trace import AccessBatch
 
 __all__ = ["BatchResult", "HierarchyConfig", "MemorySystem", "SegmentEntry"]
 
-#: Stand-in for the C arguments a call does not read (no runs, no
-#: translation table).
+_log = logging.getLogger("repro.mem")
+
+#: Stand-in for the C arguments a call does not read (no translation
+#: table).
 _PLACEHOLDER = np.zeros(1, dtype=np.int64)
 
 
@@ -290,7 +296,7 @@ class _CompiledState:
             self.bus_demand.ctypes.data, self.bus_last.ctypes.data,
             self.bus_transfers.ctypes.data, self.bus_surcharge.ctypes.data,
             config.issue_cpi, config.l2_hit_cycles,
-            l1_geometry.line_size // 4,
+            l1_geometry.line_size // 4, l1_geometry.line_shift,
         )
         if not handle:
             raise MemoryError("walker_state_new failed")
@@ -314,12 +320,15 @@ class _CompiledState:
         self._count = ctypes.c_int64()
 
     def entry_scratch(self, n: int) -> tuple:
-        """Twelve per-entry int64 arrays (plus their raw addresses)."""
+        """The fourteen per-entry arrays of ``walk_segment`` (plus their
+        raw addresses): eight inputs -- two of them data pointers --
+        then six outputs."""
         if n > self._entry_capacity or not self._entry_scratch:
             self._entry_capacity = max(2 * n, 64)
             arrays = tuple(
-                np.zeros(self._entry_capacity, dtype=np.int64)
-                for _ in range(12)
+                np.zeros(self._entry_capacity, dtype=dtype)
+                for dtype in (*[np.int64] * 4, np.uintp, np.uintp,
+                              *[np.int64] * 8)
             )
             self._entry_scratch = (
                 arrays, tuple(a.ctypes.data for a in arrays)
@@ -459,6 +468,11 @@ class MemorySystem:
         self._compiled_wanted = config.engine == "compiled"
         #: (map versions, arrays, C arguments) memo of _l2_maps.
         self._l2_maps_memo: Optional[tuple] = None
+        #: ((table, version), arrays, C arguments) memo of _interval_args.
+        self._interval_memo: Optional[tuple] = None
+        #: Why the compiled engine runs the reference walk; ``None``
+        #: while it runs in C (and on the reference engine).
+        self.fallback_reason: Optional[str] = None
 
     # -- configuration -----------------------------------------------------
 
@@ -593,13 +607,14 @@ class MemorySystem:
 
         The results stay bit-identical (the reference walk is the
         oracle); only the speed changes, so the switch is reported once
-        per system as a :class:`RuntimeWarning`.
+        per system: as :attr:`fallback_reason`, a ``repro.mem`` log line
+        and a :class:`RuntimeWarning`.
         """
         self._compiled_wanted = False
-        warnings.warn(
-            f"engine='compiled' is running the reference walk: {reason}",
-            RuntimeWarning,
-        )
+        self.fallback_reason = reason
+        message = f"engine='compiled' is running the reference walk: {reason}"
+        _log.warning(message)
+        warnings.warn(message, RuntimeWarning)
 
     @property
     def segment_ready(self) -> bool:
@@ -633,6 +648,23 @@ class MemorySystem:
         args = (use_table, n_table, base.ctypes.data, size.ctypes.data,
                 pow2.ctypes.data, way_table.ctypes.data, way_rows)
         self._l2_maps_memo = (key, arrays, args)
+        return args
+
+    def _interval_args(self) -> tuple:
+        """The interval-table arguments of ``walk_segment`` (memoized).
+
+        ``(n, bases, ends, owners)`` with raw array addresses, rebuilt
+        only when the table changes (its ``version``) or the resolver
+        holds another table; the memo keeps the arrays alive.
+        """
+        table = self.resolver.intervals
+        key = (table, table.version)
+        memo = self._interval_memo
+        if memo is not None and memo[0] == key:
+            return memo[2]
+        arrays = table.arrays()
+        args = (len(table), *(array.ctypes.data for array in arrays))
+        self._interval_memo = (key, arrays, args)
         return args
 
     def _set_translation_table(self):
@@ -792,81 +824,43 @@ class MemorySystem:
         Unsupported means: the compiled tier is down (engine, compiler,
         random L2), the segment resolves a negative owner id (the
         registry never produces one; the oracle path handles it), or
-        the handle cannot grow its statistics for the segment.
+        the handle cannot grow its buffers for the segment.
         """
         state = self._compiled_state()
         if state is None or not entries:
             return None
-        line_shift = self.config.l1_geometry.line_shift
 
         n_entries = len(entries)
         entry_arrays, entry_ptrs = state.entry_scratch(n_entries)
-        (kinds, cpus, starts, ends, instrs, advances,
-         out_cycles, out_l1_misses, out_l2_misses,
+        (kinds, cpus, owners, accesses, addr_ptrs, write_ptrs, instrs,
+         advances, out_cycles, out_l1_misses, out_l2_misses,
          out_dram_lines, out_bus, out_sf) = entry_arrays
-
-        line_parts = []
-        count_parts = []
-        wany_parts = []
-        wall_parts = []
-        owner_parts = []
-        position = 0
         for index, entry in enumerate(entries):
             kinds[index] = entry.kind
             cpus[index] = entry.cpu_id
+            owners[index] = entry.owner
             advances[index] = entry.advance
-            starts[index] = ends[index] = position
-            instrs[index] = 0
-            if entry.batch is None:
+            batch = entry.batch
+            if batch is None:
+                accesses[index] = instrs[index] = 0
                 continue
-            instrs[index] = entry.batch.instructions
-            line_arr, count_arr, wany_arr, wall_arr = entry.batch.runs(
-                line_shift
-            )
-            n_runs = int(line_arr.shape[0])
-            if n_runs == 0:
-                continue
-            ends[index] = position + n_runs
-            position += n_runs
-            line_parts.append(line_arr)
-            count_parts.append(count_arr)
-            wany_parts.append(wany_arr)
-            wall_parts.append(wall_arr)
-            owner_parts.append(self.resolver.resolve_many(
-                line_arr << line_shift, entry.owner
-            ))
-
-        if len(line_parts) == 1:
-            lines_arr = line_parts[0]
-            counts_arr = count_parts[0]
-            # numpy bools are one byte: reinterpret, do not copy.
-            wany_u8 = wany_parts[0].view(np.uint8)
-            wall_u8 = wall_parts[0].view(np.uint8)
-            owners_arr = owner_parts[0]
-        elif line_parts:
-            lines_arr = np.concatenate(line_parts)
-            counts_arr = np.concatenate(count_parts)
-            wany_u8 = np.concatenate(wany_parts).view(np.uint8)
-            wall_u8 = np.concatenate(wall_parts).view(np.uint8)
-            owners_arr = np.concatenate(owner_parts)
-        else:
-            # No runs at all (delays, empty switches): C reads nothing.
-            lines_arr = counts_arr = owners_arr = _PLACEHOLDER
-            wany_u8 = wall_u8 = _PLACEHOLDER
+            instrs[index] = batch.instructions
+            # C reads the batch arrays in place (C-contiguous int64 and
+            # bool by AccessBatch's construction); `entries` keeps them
+            # alive for the call.
+            accesses[index] = batch.addrs.shape[0]
+            addr_ptrs[index] = batch.addrs.ctypes.data
+            write_ptrs[index] = batch.writes.ctypes.data
 
         counters = state.counters
         n_done = int(state.walker.walk_segment(
-            state.handle, n_entries,
-            entry_ptrs[0], entry_ptrs[1], entry_ptrs[2], entry_ptrs[3],
-            entry_ptrs[4], entry_ptrs[5],
-            lines_arr.ctypes.data, counts_arr.ctypes.data,
-            wany_u8.ctypes.data, wall_u8.ctypes.data, owners_arr.ctypes.data,
+            state.handle, n_entries, *entry_ptrs[:8],
+            *self._interval_args(),
             *self._l2_maps(),
             float(now),
             horizon if horizon != math.inf else 1e308,
             int(quantum), 1 if use_quantum else 0,
-            entry_ptrs[6], entry_ptrs[7], entry_ptrs[8],
-            entry_ptrs[9], entry_ptrs[10], entry_ptrs[11],
+            *entry_ptrs[8:],
             state.counters_ptr,
         ))
         if n_done < 0:
@@ -880,7 +874,7 @@ class MemorySystem:
             self._degrade(
                 "a batch resolved a negative owner id"
                 if n_done == cwalker.WALK_NEGATIVE_OWNER
-                else "the C walker statistics could not grow"
+                else "the C walker buffers could not grow"
             )
             return None
 

@@ -9,7 +9,10 @@ address has an associated buffer id."*
 :class:`IntervalTable` is that table: a sorted set of non-overlapping
 ``[base, end)`` intervals, each tagged with an owner id.  Lookup is a
 binary search; the hot path is called for every L2 access, so the table
-keeps plain parallel lists.
+keeps plain parallel lists.  Every mutation bumps :attr:`version`, and
+:meth:`IntervalTable.arrays` serves the same table as int64 arrays,
+rebuilt only after a mutation -- the vectorised lookup and the compiled
+hierarchy walker read those.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ class IntervalTable:
         self._bases: List[int] = []
         self._ends: List[int] = []
         self._owners: List[int] = []
+        #: Bumped by every :meth:`add`, :meth:`remove` and :meth:`clear`.
+        self.version = 0
+        self._arrays: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
 
     def __len__(self) -> int:
         return len(self._bases)
@@ -61,6 +67,7 @@ class IntervalTable:
         self._bases.insert(idx, base)
         self._ends.insert(idx, end)
         self._owners.insert(idx, owner)
+        self.version += 1
 
     def remove(self, base: int) -> None:
         """Drop the interval starting at ``base``."""
@@ -68,6 +75,7 @@ class IntervalTable:
         if idx < 0 or self._bases[idx] != base:
             raise MemoryModelError(f"no interval starts at {base:#x}")
         del self._bases[idx], self._ends[idx], self._owners[idx]
+        self.version += 1
 
     def lookup(self, addr: int) -> Optional[int]:
         """Owner id of ``addr`` or ``None`` when not in any interval."""
@@ -82,23 +90,38 @@ class IntervalTable:
         Returns an ``int64`` array of owner ids with ``-1`` where an
         address falls in no interval (owner ids are non-negative by
         construction, see :class:`repro.mem.partition.OwnerRegistry`).
-        One ``searchsorted`` replaces a per-access binary search -- this
-        is what lets the compiled hierarchy engine resolve a whole batch
-        of runs in one call.
+        One ``searchsorted`` over :meth:`arrays` replaces a per-access
+        binary search.
         """
         addrs = np.asarray(addrs)
         if not self._bases:
             return np.full(addrs.shape, -1, dtype=np.int64)
-        bases = np.asarray(self._bases, dtype=np.int64)
-        ends = np.asarray(self._ends, dtype=np.int64)
-        owners = np.asarray(self._owners, dtype=np.int64)
+        bases, ends, owners = self.arrays()
         idx = np.searchsorted(bases, addrs, side="right") - 1
         clipped = np.maximum(idx, 0)
         inside = (idx >= 0) & (addrs < ends[clipped])
         return np.where(inside, owners[clipped], np.int64(-1))
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(bases, ends, owners)`` as int64 arrays in address order.
+
+        Memoized on :attr:`version` (read-only: every caller shares
+        them).
+        """
+        memo = self._arrays
+        if memo is None or memo[0] != self.version:
+            arrays = tuple(
+                np.array(values, dtype=np.int64)
+                for values in (self._bases, self._ends, self._owners)
+            )
+            for array in arrays:
+                array.flags.writeable = False
+            memo = self._arrays = (self.version, arrays)
+        return memo[1]
 
     def clear(self) -> None:
         """Drop every interval (used when the OS reprograms the table)."""
         self._bases.clear()
         self._ends.clear()
         self._owners.clear()
+        self.version += 1

@@ -36,9 +36,12 @@ class AccessBatch:
     Attributes
     ----------
     addrs:
-        Byte addresses, in program order.
+        Byte addresses, in program order; stored as a C-contiguous
+        ``int64`` array (converted on construction when needed -- the
+        compiled walker reads the raw buffer).
     writes:
-        Boolean array, ``True`` where the reference is a store.
+        Boolean array, ``True`` where the reference is a store; stored
+        C-contiguous (a nonzero integer mask entry is a store).
     instructions:
         Number of instructions this batch stands for.  Defaults (in the
         factories) to ``ceil(len(addrs) / mem_ref_fraction)`` so that a
@@ -61,6 +64,13 @@ class AccessBatch:
             raise MemoryModelError("AccessBatch arrays must be one-dimensional")
         if self.instructions < 0:
             raise MemoryModelError("instruction count cannot be negative")
+        # No copy when the arrays already have this form.
+        object.__setattr__(
+            self, "addrs", np.ascontiguousarray(self.addrs, dtype=_ADDR_DTYPE)
+        )
+        object.__setattr__(
+            self, "writes", np.ascontiguousarray(self.writes, dtype=bool)
+        )
 
     # -- factories ---------------------------------------------------------
 

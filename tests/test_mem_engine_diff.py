@@ -17,6 +17,7 @@ this contract -- violating it corrupts its bookkeeping too).
 """
 
 import contextlib
+import logging
 import math
 import random
 
@@ -531,7 +532,67 @@ WAY_MAPS = (
 )
 
 
-def build_generated_system(engine, mode, l2_policy, n_cpus, maps):
+#: The two shared regions every task's shared-buffer traffic hits.
+SHARED_REGIONS = ((0, 4096), (1 << 20, (1 << 20) + 8192))
+
+
+def interval_layout(rnd):
+    """An interval table over the shared regions (plus, sometimes, part
+    of task 1's private region).
+
+    Every line base of a shared region stays covered -- several tasks
+    issue those lines, and an uncovered line would change owner (and
+    L2 set) with the issuer.  Boundaries may fall mid-line, where the
+    owner comes from the run's line base address, not from its first
+    access; the 8 KB region may be cut into many small adjacent
+    intervals.
+    """
+    kind = rnd.randrange(3)
+    (lo, hi), (lo2, hi2) = SHARED_REGIONS
+    if kind == 0:
+        return [(lo, hi, 7), (lo2, hi2, 8)]
+    if kind == 1:
+        # Mid-line cuts, and a private interval starting mid-line (its
+        # first line resolves to the issuing task).
+        cuts = sorted(rnd.sample(range(lo + 1, hi), 3))
+        bounds = [lo, *cuts, hi]
+        layout = [(bounds[i], bounds[i + 1], (7, 9, 10, 11)[i])
+                  for i in range(4)]
+        private = (1 << 22) + 64 * rnd.randrange(64) + rnd.randrange(1, 64)
+        return layout + [(lo2, hi2, 8), (private, private + 2000, 30)]
+    layout = [(lo, hi, 7)]
+    base = lo2
+    while base < hi2:
+        end = min(base + rnd.randint(8, 300), hi2)
+        layout.append((base, end, rnd.choice((8, 9, 11, 12))))
+        base = end
+    return layout
+
+
+def mutate_intervals(rnd, table, owners):
+    """One OS update of the interval table, as ``(op, args)`` calls to
+    replay on every system's table: add an interval over part of a
+    task's private region, remove one (a shared one is re-added under
+    another owner, keeping its lines covered), or clear and load a new
+    layout."""
+    op = rnd.choice(("add", "remove", "clear"))
+    if op == "add":
+        base = (rnd.choice(owners) << 22) + rnd.randrange(1 << 15)
+        end = base + rnd.randint(1, 4096)
+        if any(b < end and base < e for b, e, _ in table):
+            return []
+        return [("add", (base, end, rnd.choice((30, 91))))]
+    if op == "remove":
+        base, end, owner = rnd.choice(list(table))
+        calls = [("remove", (base,))]
+        if any(lo <= base < hi for lo, hi in SHARED_REGIONS):
+            calls.append(("add", (base, end, 9 if owner != 9 else 12)))
+        return calls
+    return [("clear", ())] + [("add", spec) for spec in interval_layout(rnd)]
+
+
+def build_generated_system(engine, mode, l2_policy, n_cpus, maps,
+                           intervals=None):
     config = HierarchyConfig(
         l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
         l2_geometry=CacheGeometry(sets=32, ways=4, line_size=64),
@@ -539,8 +600,10 @@ def build_generated_system(engine, mode, l2_policy, n_cpus, maps):
         l2_policy=l2_policy,
     )
     mem = MemorySystem(n_cpus, config, mode=mode)
-    mem.resolver.intervals.add(0, 4096, owner=7)
-    mem.resolver.intervals.add(1 << 20, (1 << 20) + 8192, owner=8)
+    if intervals is None:
+        intervals = [(0, 4096, 7), (1 << 20, (1 << 20) + 8192, 8)]
+    for base, end, owner in intervals:
+        mem.resolver.intervals.add(base, end, owner=owner)
     if mode is PartitionMode.SET_PARTITIONED:
         for owner, base, n_sets in maps["assign"]:
             mem.set_map.assign(owner, base=base, n_sets=n_sets)
@@ -554,14 +617,19 @@ def build_generated_system(engine, mode, l2_policy, n_cpus, maps):
     return mem
 
 
-def generated_batch(rnd, owner):
+def generated_batch(rnd, owner, first_addr=None):
     """Private traffic (the owner's own region), shared-buffer traffic
-    or full-line streaming stores, reads and writes mixed."""
+    or full-line streaming stores, reads and writes mixed; sometimes a
+    single access or none.  ``first_addr`` is prepended."""
     rng = np.random.default_rng(rnd.getrandbits(32))
-    n = rnd.randint(20, 300)
+    roll = rnd.random()
+    n = 0 if roll < 0.1 else 1 if roll < 0.2 else rnd.randint(20, 300)
     kind = rnd.randrange(3)
     private_base = owner << 22
-    if kind == 0:
+    if n == 0:
+        addrs = np.zeros(0, dtype=np.int64)
+        writes = np.zeros(0, dtype=bool)
+    elif kind == 0:
         addrs = private_base + (rng.integers(0, 1 << 15, n) & ~3)
         writes = rng.random(n) < 0.4
     elif kind == 1:
@@ -573,45 +641,57 @@ def generated_batch(rnd, owner):
         start = private_base + (rnd.randrange(1 << 14) & ~63)
         addrs = start + 4 * np.arange(n)
         writes = np.ones(n, dtype=bool)
+    if first_addr is not None:
+        addrs = np.concatenate(([first_addr], addrs))
+        writes = np.concatenate(([rnd.random() < 0.5], writes))
     return AccessBatch.from_addresses(addrs, writes=writes,
                                       instructions=rnd.randint(0, 2000))
 
 
 def generated_segment(rnd, n_cpus, owners):
     entries = []
+    last = None  # (owner, last address) of the latest traffic entry
     for _ in range(rnd.randint(1, 7)):
         kind = rnd.randrange(5)
         cpu = rnd.randrange(n_cpus)
         owner = rnd.choice(owners)
+        first_addr = None
+        if last is not None and rnd.random() < 0.3:
+            # Start on the line the previous traffic entry ended on: the
+            # two entries' runs must stay separate.
+            owner, first_addr = last[0], (last[1] & ~63) + rnd.randrange(64)
         if kind == 0:
             entries.append(SegmentEntry.delay(rnd.randint(0, 400)))
-        elif kind == 1:
+            continue
+        batch = generated_batch(rnd, owner, first_addr)
+        if kind == 1:
             entries.append(SegmentEntry.switch(
-                cpu, owner, generated_batch(rnd, owner), rnd.randint(1, 500)
+                cpu, owner, batch, rnd.randint(1, 500)
             ))
         else:
-            entries.append(SegmentEntry.compute(
-                cpu, owner, generated_batch(rnd, owner)
-            ))
+            entries.append(SegmentEntry.compute(cpu, owner, batch))
+        if batch.n_accesses:
+            last = (owner, int(batch.addrs[-1]))
     return entries
 
 
 def _check_stats_differential(rnd, quiesce_at=None):
     """Both engines over generated segments; every level's statistics,
-    seen sets and DRAM traffic must agree, mid-run folds and an
-    optional mid-run quiesce included."""
+    seen sets and DRAM traffic must agree, mid-run folds, interval-table
+    updates between segments and an optional mid-run quiesce included."""
     mode = rnd.choice(list(PartitionMode))
     l2_policy = rnd.choice(["lru", "fifo"])
     n_cpus = rnd.randint(1, 3)
     maps = rnd.choice(
         SET_MAPS if mode is PartitionMode.SET_PARTITIONED else WAY_MAPS
     )
-    context = (mode, l2_policy, n_cpus, maps)
+    intervals = interval_layout(rnd)
+    context = (mode, l2_policy, n_cpus, maps, intervals)
     reference = build_generated_system(
-        "reference", mode, l2_policy, n_cpus, maps
+        "reference", mode, l2_policy, n_cpus, maps, intervals
     )
     compiled = build_generated_system(
-        "compiled", mode, l2_policy, n_cpus, maps
+        "compiled", mode, l2_policy, n_cpus, maps, intervals
     )
     n_segments = rnd.randint(2, 6)
     if quiesce_at is None and rnd.random() < 0.3:
@@ -632,6 +712,19 @@ def _check_stats_differential(rnd, quiesce_at=None):
             compiled.sync_state()
         if index == quiesce_at:
             compiled.quiesce()  # continue on a rebuilt handle
+        if index < n_segments - 1 and rnd.random() < 0.4:
+            # The OS updates the interval table between segments; the
+            # compiled engine must not walk a stale memo of it.
+            calls = mutate_intervals(rnd, reference.resolver.intervals,
+                                     owners)
+            for mem in (reference, compiled):
+                table = mem.resolver.intervals
+                for op, args in calls:
+                    getattr(table, op)(*args)
+            if calls and mode is PartitionMode.SET_PARTITIONED:
+                # Lines changed owner, hence L2 set: flush first.
+                assert (reference.repartition(now)
+                        == compiled.repartition(now)), (context, index)
     assert compiled._compiled is not None  # really ran the C walker
     assert_systems_identical(reference, compiled, context)
     # A second fold adds nothing.
@@ -662,3 +755,94 @@ def test_quiesce_mid_run_keeps_stats_exact(seed):
     rebuild is classified cold again."""
     rnd = random.Random(seed)
     _check_stats_differential(rnd, quiesce_at=0)
+
+
+# -- raw access streams: dtypes and layouts ------------------------------------
+
+
+def _int32_addresses(n):
+    return (np.arange(n) * 4).astype(np.int32)
+
+
+#: Batches whose arrays are not C-contiguous int64 / bool as given: the
+#: compiled walker reads the raw buffers, so construction normalises
+#: them (an 8000-access int32 stream once walked garbage silently).
+ODD_BATCHES = {
+    "int32-addrs": lambda n: AccessBatch(
+        addrs=_int32_addresses(n), writes=np.arange(n) % 3 == 0,
+        instructions=n,
+    ),
+    "int-mask": lambda n: AccessBatch(
+        addrs=np.arange(n, dtype=np.int64) * 4,
+        writes=np.arange(n) % 5 * 2, instructions=n,
+    ),
+    "uint8-mask": lambda n: AccessBatch(
+        addrs=_int32_addresses(n),
+        writes=(np.arange(n) % 2).astype(np.uint8) * 3, instructions=n,
+    ),
+    "strided": lambda n: AccessBatch(
+        addrs=(np.arange(3 * n, dtype=np.int64) * 4)[::3],
+        writes=np.tile([True, False, False], n)[::3][::-1], instructions=n,
+    ),
+}
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("kind", sorted(ODD_BATCHES))
+def test_engines_agree_on_non_int64_batches(kind):
+    batch = ODD_BATCHES[kind](8000)
+    assert batch.addrs.dtype == np.int64 and batch.writes.dtype == bool
+    assert batch.addrs.flags.c_contiguous and batch.writes.flags.c_contiguous
+    reference = build_system("reference", PartitionMode.SHARED)
+    compiled = build_system("compiled", PartitionMode.SHARED)
+    for step in range(2):
+        ref = reference.execute_batch(step, 1, batch, step * 1000.0)
+        assert compiled.execute_batch(step, 1, batch, step * 1000.0) == ref
+    assert ref.l1_misses > 0
+    assert compiled._compiled is not None  # really ran the C walker
+    assert_systems_identical(reference, compiled, kind)
+
+
+def test_batch_arrays_in_canonical_form_are_not_copied():
+    addrs = np.arange(10, dtype=np.int64)
+    writes = np.zeros(10, dtype=bool)
+    batch = AccessBatch(addrs=addrs, writes=writes, instructions=10)
+    assert batch.addrs is addrs and batch.writes is writes
+
+
+# -- fallback observability ----------------------------------------------------
+
+
+def _fallback_records(caplog):
+    return [r for r in caplog.records if r.name == "repro.mem"]
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_negative_owner_fallback_is_recorded_and_logged(caplog):
+    mem = build_system("compiled", PartitionMode.SHARED)
+    batch = AccessBatch.from_addresses([1 << 24, (1 << 24) + 64])
+    with caplog.at_level(logging.WARNING, logger="repro.mem"):
+        mem.execute_batch(0, 1, batch, 0.0)
+        assert mem.fallback_reason is None  # still running in C
+        with pytest.warns(RuntimeWarning, match="negative owner"):
+            mem.execute_batch(0, -3, batch, 10.0)
+        mem.execute_batch(0, -3, batch, 20.0)  # reported once only
+    assert "negative owner" in mem.fallback_reason
+    (record,) = _fallback_records(caplog)
+    assert record.levelno == logging.WARNING
+    assert mem.fallback_reason in record.getMessage()
+
+
+def test_missing_c_walker_fallback_is_recorded_and_logged(
+    caplog, monkeypatch
+):
+    monkeypatch.setattr(cwalker, "load", lambda: None)
+    mem = MemorySystem(1, HierarchyConfig(engine="compiled"))
+    with caplog.at_level(logging.WARNING, logger="repro.mem"):
+        with pytest.warns(RuntimeWarning, match="no C walker"):
+            assert not mem.segment_ready
+    assert mem.fallback_reason.startswith("no C walker is available")
+    (record,) = _fallback_records(caplog)
+    assert mem.fallback_reason in record.getMessage()
+    assert MemorySystem(1, HierarchyConfig(engine="reference")) \
+        .fallback_reason is None

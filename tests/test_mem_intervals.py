@@ -103,3 +103,37 @@ def test_lookup_many_empty_table():
 
     table = IntervalTable()
     assert (table.lookup_many(np.array([1, 2, 3])) == -1).all()
+
+
+def test_every_mutation_bumps_the_version():
+    table = IntervalTable()
+    versions = [table.version]
+    table.add(100, 200, owner=1)
+    versions.append(table.version)
+    table.add(300, 400, owner=2)
+    versions.append(table.version)
+    table.remove(100)
+    versions.append(table.version)
+    table.clear()
+    versions.append(table.version)
+    assert versions == sorted(set(versions))  # strictly increasing
+
+
+def test_lookup_many_sees_every_mutation():
+    import numpy as np
+
+    table = IntervalTable()
+    addrs = np.array([150, 350])
+    table.add(100, 200, owner=1)
+    assert table.lookup_many(addrs).tolist() == [1, -1]
+    arrays = table.arrays()
+    assert table.arrays() is arrays  # memoized while unchanged
+    assert not arrays[0].flags.writeable
+    table.add(300, 400, owner=2)
+    assert table.lookup_many(addrs).tolist() == [1, 2]
+    table.remove(100)
+    assert table.lookup_many(addrs).tolist() == [-1, 2]
+    table.clear()
+    assert table.lookup_many(addrs).tolist() == [-1, -1]
+    table.add(140, 160, owner=5)
+    assert table.lookup_many(addrs).tolist() == [5, -1]
