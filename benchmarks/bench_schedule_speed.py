@@ -5,11 +5,11 @@ microbench.
 measures a four-CPU tile running communicating task chains whose
 compute ops are a few thousand uncoalesced references each, so the
 per-op cost of the event kernel and the per-call cost of the walker
-matter as much as the walk itself.  The compiled engine keeps
-cache/bank/bus state resident in C and flushes whole segments of
-consecutive deterministic ops per call; the gate requires it to hold
+matter as much as the walk itself.  Both engines run the same per-op
+CPU loop; the compiled engine keeps cache/bank/bus state resident in C
+and prices each op's batch in one C call.  The gate requires it to hold
 ``GATE_MIN_SPEEDUP`` x the reference engine's throughput on this
-workload (measured 5.7x on a 2-vCPU x86-64 VM, Python 3.11; recorded
+workload (measured 21-23x on a 2-vCPU x86-64 VM, Python 3.11; recorded
 in ``BENCH_schedule.json``), with bit-identical RunMetrics.
 
 Run the gate with::
@@ -40,8 +40,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: The bench instance: four source -> table-walker -> sink chains on a
 #: four-CPU paper tile.  Each walker op performs ``LOOKUPS``
 #: data-dependent (uncoalesced) table references, and ``BURSTS`` ops
-#: run back-to-back between FIFO synchronisations, the segment shape
-#: the compiled engine batches into single C calls.
+#: run back-to-back between FIFO synchronisations.
 N_CHAINS = 4
 N_CPUS = 4
 N_TOKENS = 48
@@ -50,7 +49,7 @@ LOOKUPS = 3000
 TABLE_BYTES = 192 * 1024
 
 #: The perf_smoke gate fails when the compiled engine drops below this
-#: multiple of the reference engine (measured 5.7x; the margin absorbs
+#: multiple of the reference engine (measured 21-23x; the margin absorbs
 #: CI machine noise).
 GATE_MIN_SPEEDUP = 3.6
 
@@ -158,10 +157,6 @@ def _collect(engines, n_tokens: int = N_TOKENS) -> dict:
         report["compiled_speedup_vs_reference"] = round(
             by_engine["compiled"]["instructions_per_sec"]
             / by_engine["reference"]["instructions_per_sec"], 2,
-        )
-        report["kernel_events_saved"] = (
-            by_engine["reference"]["kernel_events"]
-            - by_engine["compiled"]["kernel_events"]
         )
     return report
 

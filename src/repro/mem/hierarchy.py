@@ -26,14 +26,15 @@ Two engines implement the walk:
 - ``engine="compiled"`` (the default) -- a persistent C-side state
   handle (:class:`_CompiledState`) keeps every L1, the shared L2
   (including the way-partitioned column cache), the DRAM bank timers
-  and the bus demand model resident between calls, so batches of any
-  size run in C, and :meth:`MemorySystem.execute_segment` prices a
-  whole ordered schedule segment -- ``(cpu, owner, batch)`` entries
-  plus delays and context-switch traffic -- in a single C call.  C
-  reads each batch's raw address and store-flag arrays in place and
-  does everything from there: run coalescing, owner resolution against
-  the interval table (passed as arrays, memoized on the table's
-  version), set indices, per-owner statistics and cold-miss
+  and the bus demand model resident between calls, so each
+  :meth:`MemorySystem.execute_batch` is a single C call.  The C entry
+  point walks an ordered list of entries;
+  :meth:`MemorySystem.execute_segment` exposes that multi-entry form to
+  the differential tests, while the CPU runner prices one batch per
+  call.  C reads each batch's raw address and store-flag arrays in
+  place and does everything from there: run coalescing, owner
+  resolution against the interval table (passed as arrays, memoized on
+  the table's version), set indices, per-owner statistics and cold-miss
   classification.  The statistics are folded into the Python
   :class:`~repro.mem.cache.CacheStats` models only when read
   (:attr:`MemorySystem.l2_stats`, :meth:`MemorySystem.sync_state`).
@@ -105,7 +106,7 @@ class HierarchyConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     bus: BusConfig = field(default_factory=BusConfig)
     l2_policy: str = "lru"
-    #: ``"compiled"`` (persistent C state + whole-segment batches, the
+    #: ``"compiled"`` (persistent C state, one C call per batch; the
     #: default) or ``"reference"`` (per-run method calls; the
     #: differential-testing oracle).  See the module docstring.
     engine: str = "compiled"
@@ -618,12 +619,8 @@ class MemorySystem:
 
     @property
     def segment_ready(self) -> bool:
-        """Whether :meth:`execute_segment` runs through the C tier.
-
-        The schedule collector in :mod:`repro.cake.processor` gates on
-        this: with the compiled tier down, the per-op event loop is not
-        slower than the sequential fallback segment walk.
-        """
+        """Whether the C tier is live (the compiled engine has not
+        degraded to the reference walk)."""
         return self._compiled_state() is not None
 
     def _l2_maps(self) -> tuple:

@@ -177,9 +177,14 @@ class CacheController:
         departure, *surviving* owners keep their exact unit ranges (and
         therefore their cache residency).  ``pool`` optionally pins the
         default pool for unpartitioned owners to an explicit range, so
-        it too survives transitions unmoved.
+        it too survives transitions unmoved.  The whole request is
+        checked before anything changes: a rejected layout leaves the
+        previous partitions, pool and :attr:`programmed_units` intact.
         """
-        for owner_name, (base_unit, units) in ranges_by_owner.items():
+        spans = dict(ranges_by_owner)
+        if pool is not None:
+            spans["default pool"] = pool
+        for owner_name, (base_unit, units) in spans.items():
             if units <= 0:
                 raise PartitionError(
                     f"owner {owner_name!r} allocated {units} units"
@@ -188,6 +193,14 @@ class CacheController:
                 raise PartitionError(
                     f"owner {owner_name!r} range ({base_unit}, {units}) "
                     f"outside 0..{self.total_units}"
+                )
+        ordered = sorted(
+            (base, base + units, name) for name, (base, units) in spans.items()
+        )
+        for (_, end1, name1), (base2, _, name2) in zip(ordered, ordered[1:]):
+            if end1 > base2:
+                raise PartitionError(
+                    f"ranges of {name1!r} and {name2!r} overlap"
                 )
         self.mem.quiesce()
         self.mem.set_map.clear()

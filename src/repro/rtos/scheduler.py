@@ -91,12 +91,7 @@ class Scheduler:
 
         The quantum only forces a yield when somebody is waiting --
         with an empty ready queue the running task keeps the CPU.  The
-        single definition is shared by the CPU runner's event-driven op
-        loop and the schedule-compiled segment collector, which also
-        passes ``has_ready`` into the C segment walker as its quantum
-        stop condition (the queue cannot change before the collector's
-        event horizon, so the snapshot stays valid for the whole
-        segment).
+        CPU runner asks after every op.
         """
         return quantum_left <= 0 and self.has_ready(cpu)
 

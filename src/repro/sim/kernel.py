@@ -206,17 +206,13 @@ class Replan(Event):
     """An absolute-time control event that runs an action when processed.
 
     The online scenario engine schedules one per task arrival/departure.
-    Two properties make it interact correctly with segment collection:
-
-    - it is queued at *creation*, so :meth:`Simulator.peek` -- the quiet
-      horizon bounding every collected op segment -- never extends past
-      the next replan time, and
-    - it fires with URGENT priority, so at its exact instant the action
-      runs *before* any runner timeout scheduled for the same time: ops
-      issued at or after the replan time see the new platform state on
-      every execution engine, while ops issued earlier have already
-      applied their memory effects (both the per-op and the segment path
-      execute an op's accesses at its start time).
+    It is queued at *creation*, so the run stays alive until it fires,
+    and it fires with URGENT priority: at its exact instant the action
+    runs *before* any runner timeout scheduled for the same time.  Ops
+    issued at or after the replan time therefore see the new platform
+    state, while ops issued earlier have already applied their memory
+    effects (the CPU runner executes an op's accesses at its start
+    time).
     """
 
     __slots__ = ("action",)
@@ -464,10 +460,9 @@ class Simulator:
     def events_processed(self) -> int:
         """Events popped and delivered since construction.
 
-        The event count is the kernel-side cost metric of a run: the
-        schedule-compiled execution tier exists to shrink it (one
-        timeout per flushed segment instead of one per op), and the
-        schedule benchmark reports it alongside wall time.
+        The event count is the kernel-side cost metric of a run (one
+        timeout per op on every engine); the schedule benchmark reports
+        it alongside wall time.
         """
         return self._events_processed
 
@@ -500,8 +495,7 @@ class Simulator:
     def schedule_replan(self, at: float, action: Callable[[], None]) -> "Replan":
         """Schedule ``action()`` at absolute time ``at`` (urgent).
 
-        Keeps the run alive until it fires even if all processes idle,
-        and bounds collected segments via :meth:`peek`.
+        Keeps the run alive until it fires even if all processes idle.
         """
         return Replan(self, at, action)
 
@@ -588,13 +582,9 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.
 
-        This is also the *quiet horizon* the schedule-compiled
-        execution tier relies on: the process currently being resumed
-        runs synchronously, so until it yields, no state visible to it
-        can change before this time -- a collected run of deterministic
-        ops may therefore execute in one batch as long as each op
-        starts strictly before ``peek()`` (ties hand control back to
-        the kernel, which preserves the reference event order).
+        The process currently being resumed runs synchronously, so
+        until it yields, no state visible to it can change before this
+        time (the *quiet horizon*).
         """
         return self._queue[0][0] if self._queue else float("inf")
 

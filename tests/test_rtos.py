@@ -229,3 +229,29 @@ def test_clear_partitions():
     controller.clear_partitions()
     assert controller.programmed_units == {}
     assert platform.mem.set_map.allocated_sets() == 0
+
+
+def test_rejected_set_layout_changes_nothing():
+    """An overlapping layout is refused before the map is touched: the
+    previous partitions, default pool and programmed units survive."""
+    platform = make_platform()
+    controller = platform.cache_controller
+    set_map = platform.mem.set_map
+    controller.program_set_layout(
+        {"task:stage0": (0, 8), "task:stage1": (8, 8)}, pool=(250, 6)
+    )
+    before = (
+        set_map.partitions, set_map.default_pool,
+        controller.programmed_units,
+    )
+    for ranges, pool in (
+        ({"task:stage0": (0, 4), "task:stage1": (2, 4)}, None),
+        ({"task:stage0": (0, 4)}, (3, 6)),
+    ):
+        with pytest.raises(PartitionError, match="overlap"):
+            controller.program_set_layout(ranges, pool=pool)
+        after = (
+            set_map.partitions, set_map.default_pool,
+            controller.programmed_units,
+        )
+        assert after == before

@@ -1,15 +1,14 @@
-"""End-to-end differential matrix for the schedule-compiled engine.
+"""End-to-end differential matrix for the compiled engine.
 
-The collector in :mod:`repro.cake.processor` batches consecutive
-deterministic ops through one C call per segment; these tests pin the
-whole-platform contract: for **every registered workload**, partition
-mode, CPU count and scheduling knob exercised here, a run on the
-compiled engine produces a :class:`RunMetrics` payload byte-identical
-to the reference engine, including FIFO blocking, round-robin
-preemption with pre-pulled ops handed back, and context-switch
-traffic.  Without a C compiler the compiled engine degrades to the
-reference walk, so the identities still hold -- only the events-saved
-assertions need the real C tier.
+Both engines run the same CPU op loop in :mod:`repro.cake.processor`
+and differ only in how :meth:`MemorySystem.execute_batch` walks a
+batch; these tests pin the whole-platform contract: for **every
+registered workload**, partition mode, CPU count and scheduling knob
+exercised here, a run on the compiled engine produces a
+:class:`RunMetrics` payload byte-identical to the reference engine,
+including FIFO blocking, round-robin preemption, migration and
+context-switch traffic.  Without a C compiler the compiled engine
+degrades to the reference walk, so the identities still hold.
 """
 
 import pytest
@@ -103,7 +102,7 @@ def test_three_way_with_programmed_way_partitions():
 
 def test_three_way_under_fifo_blocking():
     """Capacity-1 FIFOs force blocked reads and writes on every task
-    boundary -- the segment breakers the collector must respect."""
+    boundary."""
     kwargs = dict(WORKLOADS["pipeline"], capacity_tokens=1, n_tokens=24)
 
     def expect(platform, payload):
@@ -121,9 +120,9 @@ def test_three_way_under_fifo_blocking():
 
 @pytest.mark.parametrize("scheduling", ["migrate", "static"])
 def test_three_way_under_tiny_quantum(scheduling):
-    """A quantum far smaller than one op forces a preemption check at
-    every op boundary: pre-pulled ops must hand back through
-    ``pending_ops`` with replay-exact order, across migration too."""
+    """A quantum far smaller than one op forces a preemption at every
+    op boundary (with a waiting task): the op stream must resume in
+    order on whichever CPU picks the task up, across migration too."""
     cake = small_cake(2, quantum_cycles=500, scheduling=scheduling)
 
     def expect(platform, payload):
@@ -146,8 +145,7 @@ def test_three_way_without_switch_traffic():
 
 def _bursty_network():
     """Two chained tasks whose programs emit *runs* of deterministic
-    ops (computes and delays) between FIFO synchronisations -- the
-    shape the segment collector exists for."""
+    ops (computes and delays) between FIFO synchronisations."""
     from repro.kpn.graph import FifoSpec, ProcessNetwork, TaskSpec
 
     def producer(ctx):
@@ -194,22 +192,20 @@ def _run_bursty(engine, n_cpus=1):
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_three_way_with_bursty_segments(n_cpus):
-    """Multi-op segments (computes + delays) stay bit-identical."""
+    """Runs of computes and delays stay bit-identical."""
     payloads = {
         engine: _run_bursty(engine, n_cpus)[0] for engine in ENGINES
     }
     assert payloads["compiled"] == payloads["reference"]
 
 
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-def test_compiled_runs_fewer_kernel_events():
-    """Whole-segment batching must shrink the event-loop traffic: one
-    timeout per flushed segment instead of one per op."""
+def test_engines_process_equal_kernel_events():
+    """Both engines run the one per-op CPU loop, so they drive the
+    event kernel identically: same RunMetrics, same event count."""
     payload_reference, reference = _run_bursty("reference")
     payload_compiled, compiled = _run_bursty("compiled")
     assert payload_reference == payload_compiled
-    assert compiled.mem.segment_ready
-    assert compiled.sim.events_processed < reference.sim.events_processed
+    assert compiled.sim.events_processed == reference.sim.events_processed
 
 
 def _sleepy_network():
@@ -238,8 +234,8 @@ def _sleepy_network():
 
 def test_compiled_survives_runless_first_segment():
     """Regression: the very first compiled call may carry zero memory
-    runs (a delay-only op stretch, or an empty batch) -- the scratch
-    buffers must initialise anyway."""
+    runs (an empty batch) -- the scratch buffers must initialise
+    anyway."""
     from repro.mem.hierarchy import HierarchyConfig, MemorySystem
     from repro.mem.trace import AccessBatch
 
