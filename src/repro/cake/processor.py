@@ -28,6 +28,7 @@ from repro.kpn.ops import Compute, Delay, ReadToken, WriteToken
 from repro.mem.address import Region
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.trace import AccessBatch
+from repro.patterns.memo import memoized
 from repro.rtos.scheduler import Scheduler
 from repro.rtos.task import Task, TaskState
 from repro.sim.kernel import Simulator
@@ -60,15 +61,16 @@ class CpuRunner:
         self._current: Optional[Task] = None
         self.process = sim.process(self._run(), name=f"cpu{cpu_id}")
 
-    def _switch_batch(self, task: Task) -> AccessBatch:
+    @staticmethod
+    @memoized
+    def _switch_batch(region: Region, owner_id: int) -> AccessBatch:
         """RTOS traffic of a context switch: save/restore the TCB.
 
         Touches the task's control block inside ``rt.bss``, so the
         switch traffic lands in the RTOS's cache partition -- the reason
         the run-time system has its own rows in Tables 1/2.
         """
-        region = self._rt_bss
-        offset = (task.owner_id * TCB_BYTES) % max(1, region.size - TCB_BYTES)
+        offset = (owner_id * TCB_BYTES) % max(1, region.size - TCB_BYTES)
         addrs = region.base + offset + np.arange(TCB_BYTES // 4, dtype=np.int64) * 4
         # Restore reads the whole block, save rewrites half of it.
         writes = np.zeros(addrs.shape, dtype=bool)
@@ -117,7 +119,7 @@ class CpuRunner:
             self.mem.execute_batch(
                 self.cpu_id,
                 task.owner_id,
-                self._switch_batch(task),
+                self._switch_batch(self._rt_bss, task.owner_id),
                 self.sim.now,
             )
         yield self.sim.timeout(self.config.switch_cycles)

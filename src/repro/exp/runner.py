@@ -68,6 +68,7 @@ from repro.exp.scenario import (
 )
 from repro.exp.store import SCHEMA_VERSION, ResultStore, ScenarioRecord
 from repro.mem.partition import PartitionMode
+from repro.patterns import memo as batch_memo
 
 __all__ = [
     "AsyncBackend",
@@ -94,10 +95,11 @@ _VERIFIED_ON_DISK: set = set()
 
 
 def clear_caches() -> None:
-    """Drop the process-wide profile and baseline memo tables."""
+    """Drop the process-wide profile, baseline and access-batch memos."""
     _PROFILE_CACHE.clear()
     _BASELINE_CACHE.clear()
     _VERIFIED_ON_DISK.clear()
+    batch_memo.clear()
 
 
 def _compute_profile(scenario: Scenario) -> ProfileResult:

@@ -26,15 +26,37 @@ from repro.errors import NetworkError
 from repro.kpn.graph import FifoSpec
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
-from repro.patterns.streams import ring
+from repro.patterns.memo import memoized
+from repro.patterns.streams import ring_addresses
 
-__all__ = ["FifoChannel", "FifoStats"]
+__all__ = ["FifoChannel", "FifoStats", "fifo_transfer"]
 
 #: Bytes of the per-FIFO administration block in rt.data.
 ADMIN_BLOCK_BYTES = 64
 
 #: Payload element size (a 32-bit word per access).
 PAYLOAD_ELEM_BYTES = 4
+
+#: Control-block traffic of one transfer: read the rd/wr pointers, count
+#: and limit, then write back two words.
+_ADMIN_OFFSETS = np.array([0, 8, 16, 24, 0, 16], dtype=np.int64)
+_ADMIN_WRITES = np.array([False, False, False, False, True, True])
+_ADMIN_INSTRUCTIONS = 24
+
+
+@memoized
+def fifo_transfer(
+    buffer_region: Region, admin_base: int, head: int, nbytes: int, write: bool
+) -> AccessBatch:
+    """One token transfer: control-block words, then the ring payload."""
+    payload = ring_addresses(buffer_region, head, nbytes, PAYLOAD_ELEM_BYTES)
+    n_payload = payload.shape[0]
+    return AccessBatch(
+        addrs=np.concatenate((admin_base + _ADMIN_OFFSETS, payload)),
+        writes=np.concatenate((_ADMIN_WRITES, np.full(n_payload, write))),
+        instructions=_ADMIN_INSTRUCTIONS
+        + AccessBatch.default_instructions(n_payload),
+    )
 
 
 @dataclass
@@ -71,6 +93,7 @@ class FifoChannel:
         self.buffer_region = buffer_region
         self.admin_region = admin_region
         self.admin_offset = admin_offset
+        self._admin_base = admin_region.base + admin_offset
         self.tokens = 0
         self.read_ptr = 0
         self.write_ptr = 0
@@ -101,39 +124,19 @@ class FifoChannel:
 
     # -- traffic -----------------------------------------------------------
 
-    def _admin_batch(self) -> AccessBatch:
-        """Reads+update of the FIFO control block (pointers, counters)."""
-        base = self.admin_region.base + self.admin_offset
-        # Read rd/wr pointers + count + limit, then write back two words.
-        addrs = base + np.array([0, 8, 16, 24, 0, 16], dtype=np.int64)
-        writes = np.array([False, False, False, False, True, True])
-        return AccessBatch(addrs=addrs, writes=writes, instructions=24)
-
     def read_batch(self, n: int) -> AccessBatch:
         """Traffic of consuming ``n`` tokens (call only when readable)."""
         if not self.can_read(n):
             raise NetworkError(f"fifo {self.spec.name!r}: read of {n} underflows")
-        payload = ring(
-            self.buffer_region,
-            head=self.read_ptr,
-            nbytes=n * self.spec.token_bytes,
-            elem=PAYLOAD_ELEM_BYTES,
-            write=False,
-        )
-        return AccessBatch.concat([self._admin_batch(), payload])
+        return fifo_transfer(self.buffer_region, self._admin_base,
+                             self.read_ptr, n * self.spec.token_bytes, False)
 
     def write_batch(self, n: int) -> AccessBatch:
         """Traffic of producing ``n`` tokens (call only when writable)."""
         if not self.can_write(n):
             raise NetworkError(f"fifo {self.spec.name!r}: write of {n} overflows")
-        payload = ring(
-            self.buffer_region,
-            head=self.write_ptr,
-            nbytes=n * self.spec.token_bytes,
-            elem=PAYLOAD_ELEM_BYTES,
-            write=True,
-        )
-        return AccessBatch.concat([self._admin_batch(), payload])
+        return fifo_transfer(self.buffer_region, self._admin_base,
+                             self.write_ptr, n * self.spec.token_bytes, True)
 
     # -- commits -----------------------------------------------------------
 

@@ -105,8 +105,13 @@ class AccessBatch:
         else:
             write_arr = np.asarray(writes, dtype=bool)
         if instructions is None:
-            instructions = int(np.ceil(len(addr_arr) / cls.MEM_REF_FRACTION))
+            instructions = cls.default_instructions(len(addr_arr))
         return cls(addrs=addr_arr, writes=write_arr, instructions=instructions)
+
+    @classmethod
+    def default_instructions(cls, n_accesses: int) -> int:
+        """Instructions that ``n_accesses`` references stand for."""
+        return int(np.ceil(n_accesses / cls.MEM_REF_FRACTION))
 
     @classmethod
     def concat(cls, batches: Iterable["AccessBatch"]) -> "AccessBatch":

@@ -20,6 +20,15 @@ number of archetypal access patterns, each returning an
 
 The patterns are what makes the synthetic workloads *address-accurate*
 stand-ins for the real binaries (see DESIGN.md, substitution table).
+
+Batch reuse: ``stream``, ``ring``, ``loop_code``, ``block2d`` and
+``stencil`` are pure functions of their arguments, so they go through
+the process-wide memo of :mod:`repro.patterns.memo` (as do the FIFO
+transfer and context-switch batches).  A repeat call returns the stored
+batch, shared by every caller, so its arrays are read-only: never mutate
+a batch, build a new one.  ``table_lookup`` and ``gather_blocks`` are not
+memoised, because their indices and tile origins come from the calling
+task's RNG stream.
 """
 
 from repro.patterns.blocks import block2d, gather_blocks

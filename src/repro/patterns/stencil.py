@@ -9,10 +9,12 @@ import numpy as np
 from repro.errors import MemoryModelError
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
+from repro.patterns.memo import memoized
 
 __all__ = ["stencil"]
 
 
+@memoized
 def stencil(
     src: Region,
     dst: Region,

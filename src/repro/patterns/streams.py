@@ -9,10 +9,12 @@ import numpy as np
 from repro.errors import MemoryModelError
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
+from repro.patterns.memo import memoized
 
-__all__ = ["loop_code", "ring", "stream"]
+__all__ = ["loop_code", "ring", "ring_addresses", "stream"]
 
 
+@memoized
 def stream(
     region: Region,
     offset: int = 0,
@@ -44,6 +46,20 @@ def stream(
     return AccessBatch.from_addresses(addrs, writes=write, instructions=instructions)
 
 
+def ring_addresses(region: Region, head: int, nbytes: int, elem: int) -> np.ndarray:
+    """Addresses of an ``nbytes`` walk from ``head`` with wrap-around."""
+    size = region.size
+    if nbytes < 0 or nbytes > size:
+        raise MemoryModelError(
+            f"ring access of {nbytes} bytes outside region {region.name!r}"
+        )
+    if elem <= 0:
+        raise MemoryModelError("elem must be positive")
+    offsets = (head % size + np.arange(nbytes // elem, dtype=np.int64) * elem) % size
+    return region.base + offsets
+
+
+@memoized
 def ring(
     region: Region,
     head: int,
@@ -57,18 +73,11 @@ def ring(
     Used for FIFO payloads: the FIFO's ring buffer occupies the whole
     region and ``head`` is the current read or write pointer.
     """
-    size = region.size
-    if nbytes > size:
-        raise MemoryModelError(
-            f"ring access of {nbytes} bytes exceeds region {region.name!r}"
-        )
-    head %= size
-    n = nbytes // elem if elem > 0 else 0
-    offsets = (head + np.arange(n, dtype=np.int64) * elem) % size
-    addrs = region.base + offsets
+    addrs = ring_addresses(region, head, nbytes, elem)
     return AccessBatch.from_addresses(addrs, writes=write, instructions=instructions)
 
 
+@memoized
 def loop_code(
     region: Region,
     loop_offset: int,

@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import MemoryModelError
 from repro.mem.address import Region, RegionKind
+from repro.mem.trace import AccessBatch
 from repro.patterns import (
+    memo,
     block2d,
     gather_blocks,
     loop_code,
@@ -56,8 +58,14 @@ def test_ring_wraps():
 
 
 def test_ring_oversize_rejected():
+    memo.clear()
     with pytest.raises(MemoryModelError):
         ring(region(size=128), head=0, nbytes=256)
+    with pytest.raises(MemoryModelError):
+        ring(region(size=128), head=0, nbytes=64, elem=0)
+    with pytest.raises(MemoryModelError):
+        ring(region(size=128), head=0, nbytes=-8)
+    assert memo.entries() == 0  # a rejected call stores nothing
 
 
 def test_loop_code_cycles_loop_body():
@@ -92,17 +100,39 @@ def test_block2d_passes_repeat():
 
 
 def test_block2d_bounds():
+    memo.clear()
     with pytest.raises(MemoryModelError):
         block2d(region(size=128), row_stride=64, x0=0, y0=1, width=65,
                 height=1)
     with pytest.raises(MemoryModelError):
         block2d(region(), 64, 0, 0, 0, 4)
+    with pytest.raises(MemoryModelError):
+        block2d(region(), 64, 0, 0, 8, 8, passes=0)
+    assert memo.entries() == 0  # a rejected call stores nothing
 
 
 def test_gather_blocks_concatenates():
     batch = gather_blocks(region(), 64, [(0, 0), (8, 8)], 4, 4)
     assert batch.n_accesses == 32
     assert gather_blocks(region(), 64, [], 4, 4).n_accesses == 0
+    # Equal to one block2d walk per origin, instruction counts included.
+    positions = [(0, 0), (8, 8), (3, 17), (50, 2), (3, 17), (0, 40)]
+    for width, height, elem, write in [(4, 4, 1, False), (17, 17, 1, False),
+                                       (5, 3, 2, True)]:
+        gathered = gather_blocks(region(), 64, positions, width, height,
+                                 elem=elem, write=write)
+        expected = AccessBatch.concat(
+            block2d(region(), 64, x, y, width, height, elem=elem, write=write)
+            for x, y in positions
+        )
+        assert np.array_equal(gathered.addrs, expected.addrs)
+        assert np.array_equal(gathered.writes, expected.writes)
+        assert gathered.instructions == expected.instructions
+    # An out-of-range tile is named: the first one, in position order.
+    with pytest.raises(MemoryModelError, match=r"block \(0,100,4x4\)"):
+        gather_blocks(region(), 64, [(0, 0), (0, 100), (-1, 0)], 4, 4)
+    with pytest.raises(MemoryModelError, match=r"block \(-1,0,4x4\)"):
+        gather_blocks(region(), 64, [(0, 0), (-1, 0), (0, 100)], 4, 4)
 
 
 def test_stencil_traffic_and_bounds():
