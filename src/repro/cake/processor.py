@@ -59,7 +59,7 @@ class CpuRunner:
         self.metrics = CpuMetrics()
         self._rt_bss = rt_bss_region
         self._current: Optional[Task] = None
-        self.process = sim.process(self._run(), name=f"cpu{cpu_id}")
+        sim.process(self._run(), name=f"cpu{cpu_id}")
 
     @staticmethod
     @memoized

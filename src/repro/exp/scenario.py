@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
@@ -108,8 +110,10 @@ class TransitionSpec:
                 f"unknown transition action {self.action!r}; "
                 f"pick from {TRANSITION_ACTIONS}"
             )
-        if self.at < 0:
-            raise ValueError(f"transition time must be >= 0, got {self.at!r}")
+        if not (isinstance(self.at, numbers.Real) and 0 <= self.at < math.inf):
+            raise ValueError(
+                f"transition time must be a finite number >= 0, got {self.at!r}"
+            )
         if self.action == "join" and (self.workload is None or not self.group):
             raise ValueError("a join transition needs a workload and a group")
         if self.action == "leave" and not (self.group or self.tasks):

@@ -1,41 +1,17 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic, SimPy-flavoured kernel used by every other
-subsystem in the library.  The public surface is:
+A small, deterministic kernel that drives the platform's CPU runners,
+scheduler wake-ups and online replans.  The public surface is:
 
-- :class:`~repro.sim.kernel.Simulator` -- the event loop.
-- :class:`~repro.sim.kernel.Event`, :class:`~repro.sim.kernel.Timeout`,
-  :class:`~repro.sim.kernel.Process` -- the event types processes yield.
-- :class:`~repro.sim.kernel.Interrupt` -- exception thrown into a process
-  by :meth:`Process.interrupt`.
-- :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store` -- synchronisation primitives.
+- :class:`~repro.sim.kernel.Simulator` -- one heap of
+  ``(time, priority, seq, fn, arg)`` tuples and the loop that pops it.
+- :class:`~repro.sim.kernel.Process` -- a generator that yields
+  :class:`~repro.sim.kernel.Timeout` delays or
+  :class:`~repro.sim.kernel.Event` occurrences to wait on.
 - :class:`~repro.sim.rng.RngHub` -- deterministic named random streams.
 """
 
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    Timeout,
-)
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.kernel import Event, Process, Simulator, Timeout
 from repro.sim.rng import RngHub
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
-    "Event",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "RngHub",
-    "Simulator",
-    "Store",
-    "Timeout",
-]
+__all__ = ["Event", "Process", "RngHub", "Simulator", "Timeout"]

@@ -1,35 +1,36 @@
 """Core of the discrete-event simulation kernel.
 
-The kernel follows the classic event-loop design popularised by SimPy:
+A :class:`Simulator` owns one heap of ``(time, priority, seq, fn, arg)``
+tuples; :meth:`Simulator.step` pops the smallest and calls ``fn(arg)``.
+The ``seq`` tie-break makes the kernel deterministic: two entries for
+the same time and priority run in the order they were queued.
 
-- A :class:`Simulator` owns a priority queue of scheduled events ordered
-  by ``(time, priority, sequence)``.  The ``sequence`` tie-break makes the
-  kernel fully deterministic: two events scheduled for the same time fire
-  in scheduling order.
-- An :class:`Event` can be *pending* (nobody triggered it yet),
-  *triggered* (it carries a value and sits in the queue) or *processed*
-  (its callbacks have run).
-- A :class:`Process` wraps a Python generator.  The generator yields
-  events; whenever a yielded event is processed the generator is resumed
-  with the event's value (or the event's exception is thrown into it).
+Four kinds of entry exist, each counted once by
+:attr:`Simulator.events_processed`:
 
-The kernel is intentionally small but complete enough for an operating
-system model: processes can be interrupted (:meth:`Process.interrupt`),
-composed (:class:`AllOf` / :class:`AnyOf`) and can wait on timeouts.
+- a process start, queued URGENT when the :class:`Process` is created;
+- a :class:`Timeout` yielded by a process, queued NORMAL at
+  ``now + delay`` *when it is yielded*, resuming the process directly;
+- a triggered :class:`Event` (:meth:`Event.succeed`, :meth:`Event.fail`
+  or a process terminating), which resumes its waiters in the order
+  they started waiting;
+- a :class:`Replan`, an absolute-time action queued URGENT.
+
+A process is a generator that yields timeouts or events; it is resumed
+with the timeout's or event's value, or has the event's exception
+thrown into it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+import math
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Replan",
     "Simulator",
@@ -38,67 +39,52 @@ __all__ = [
     "NORMAL",
 ]
 
-#: Scheduling priority for events that must run before ordinary events
-#: scheduled at the same time (used internally for interrupts).
+#: Priority of process starts and replans: they run before ordinary
+#: entries queued for the same time.
 URGENT = 0
 
 #: Default scheduling priority.
 NORMAL = 1
 
-
-class _Pending:
-    """Sentinel for the value of a not-yet-triggered event."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<PENDING>"
+#: Sentinel for the value of a not-yet-triggered event.
+PENDING = object()
 
 
-PENDING = _Pending()
+class Timeout:
+    """A request to resume the yielding process ``delay`` units later.
 
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The interrupting party may attach an arbitrary ``cause`` describing
-    why the process was interrupted (for example a preemption notice from
-    a scheduler).
+    It is not an event: nothing is queued until a process yields it,
+    and nobody else can wait on it.
     """
 
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+    __slots__ = ("sim", "delay", "value")
+
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+        if not 0 <= delay < math.inf:
+            raise SimulationError(
+                f"timeout delay must be finite and >= 0, got {delay!r}"
+            )
+        self.sim = sim
+        self.delay = delay
+        self.value = value
 
 
 class Event:
-    """A one-shot occurrence in simulated time.
+    """A one-shot occurrence that processes can wait on.
 
-    Events move through three states:
-
-    ``pending``
-        created, not yet triggered; ``triggered`` and ``processed`` are
-        both ``False``.
-    ``triggered``
-        :meth:`succeed` or :meth:`fail` was called; the event sits in the
-        simulator queue with its value attached.
-    ``processed``
-        the simulator popped the event and ran its callbacks.
-
-    Callbacks receive the event itself.  Adding a callback to an already
-    processed event schedules an immediate (same-time) delivery, which
-    keeps "wait on something that already happened" race-free.
+    ``pending`` until :meth:`succeed` or :meth:`fail` queues it
+    (``triggered``); ``processed`` once the kernel popped it and resumed
+    its waiters.  A failure nobody waits on is re-raised from the run.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "_defused")
+    __slots__ = ("sim", "_value", "_ok", "_waiters")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks: Optional[list] = []
         self._value: Any = PENDING
-        self._ok: bool = True
-        self._processed: bool = False
-        self._defused: bool = False
-
-    # -- state inspection ------------------------------------------------
+        self._ok = True
+        #: Processes waiting on the event; None once it is processed.
+        self._waiters: Optional[list] = []
 
     @property
     def triggered(self) -> bool:
@@ -107,8 +93,8 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self._processed
+        """True once the event's waiters have been resumed."""
+        return self._waiters is None
 
     @property
     def ok(self) -> bool:
@@ -117,89 +103,46 @@ class Event:
 
     @property
     def value(self) -> Any:
-        """The value the event was triggered with.
-
-        Raises :class:`~repro.errors.SimulationError` when read before the
-        event triggers.
-        """
+        """The value the event was triggered with."""
         if self._value is PENDING:
             raise SimulationError(f"value of {self!r} is not yet available")
         return self._value
 
-    # -- triggering ------------------------------------------------------
-
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = True
-        self._value = value
-        self.sim._enqueue(self, delay=0.0, priority=priority)
+        self._trigger(True, value, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception propagates into every process waiting on the event.
-        If nothing ever waits on a failed event the simulator re-raises it
-        at processing time (errors never pass silently); call
-        :meth:`defused` handling to opt out.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
+        """Trigger the event with an exception thrown into every waiter."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        self._ok = False
-        self._value = exception
-        self.sim._enqueue(self, delay=0.0, priority=priority)
+        self._trigger(False, exception, priority)
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the kernel won't re-raise."""
-        self._defused = True
+    def _trigger(self, ok: bool, value: Any, priority: int) -> None:
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = ok
+        self._value = value
+        self.sim._push(self.sim._now, priority, self._fire, None)
 
-    # -- wiring ----------------------------------------------------------
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Run ``callback(event)`` when the event is processed.
-
-        If the event has already been processed the callback is scheduled
-        for immediate delivery at the current simulation time.
-        """
-        if self._processed:
-            self.sim._enqueue_call(callback, self)
-        else:
-            assert self.callbacks is not None
-            self.callbacks.append(callback)
-
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Remove a previously added callback (no-op if absent)."""
-        if self.callbacks and callback in self.callbacks:
-            self.callbacks.remove(callback)
+    def _fire(self, _arg: Any) -> None:
+        waiters = self._waiters
+        self._waiters = None
+        if waiters:
+            for process in waiters:
+                process._resume(self._value, self._ok)
+        elif not self._ok:
+            raise self._value
 
     def __repr__(self) -> str:
         state = (
-            "processed"
-            if self._processed
-            else "triggered"
-            if self.triggered
+            "processed" if self.processed
+            else "triggered" if self.triggered
             else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class Timeout(Event):
-    """An event that triggers itself ``delay`` time units in the future."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self._ok = True
-        self._value = value
-        sim._enqueue(self, delay=delay, priority=NORMAL)
 
 
 class Replan(Event):
@@ -218,31 +161,19 @@ class Replan(Event):
     __slots__ = ("action",)
 
     def __init__(self, sim: "Simulator", at: float, action: Callable[[], None]):
-        if at < sim.now:
+        if not sim.now <= at < math.inf:
             raise SimulationError(
-                f"replan at {at!r} is in the past (now={sim.now})"
+                f"replan at {at!r} must be finite and not in the past "
+                f"(now={sim.now})"
             )
         super().__init__(sim)
-        self._ok = True
         self._value = None
         self.action = action
-        sim._enqueue(self, delay=at - sim.now, priority=URGENT)
-        self.add_callback(self._fire)
+        sim._push(at, URGENT, self._fire, None)
 
-    def _fire(self, _event: Event) -> None:
+    def _fire(self, _arg: Any) -> None:
         self.action()
-
-
-class Initialize(Event):
-    """Internal event used to start a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator"):
-        super().__init__(sim)
-        self._ok = True
-        self._value = None
-        sim._enqueue(self, delay=0.0, priority=URGENT)
+        super()._fire(_arg)
 
 
 class Process(Event):
@@ -250,16 +181,15 @@ class Process(Event):
 
     The process is itself an event: it triggers when the generator
     returns (successfully, with the generator's return value) or raises
-    (as a failure).  This lets processes wait on each other by yielding
-    the other process.
+    (as a failure), so processes can wait on each other.
     """
 
-    __slots__ = ("generator", "name", "_target")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self,
         sim: "Simulator",
-        generator: Generator[Event, Any, Any],
+        generator: Generator[Any, Any, Any],
         name: Optional[str] = None,
     ):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -269,161 +199,53 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when the
-        #: process is being resumed or has terminated).
-        self._target: Optional[Event] = None
-        init = Initialize(sim)
-        init.add_callback(self._resume)
+        sim._push(sim._now, URGENT, self._resume, None)
 
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not terminated."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process is rescheduled immediately (urgent priority); the
-        event it was waiting on stays valid and may be re-yielded by the
-        process if it wants to resume waiting.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        if self.generator is _current_generator(self.sim):
-            raise SimulationError("a process cannot interrupt itself")
-        # Stop listening on the current target; the interrupt supersedes.
-        if self._target is not None:
-            self._target.remove_callback(self._resume)
-            self._target = None
-        failure = Event(self.sim)
-        failure._ok = False
-        failure._value = Interrupt(cause)
-        failure._defused = True
-        self.sim._enqueue(failure, delay=0.0, priority=URGENT)
-        failure.add_callback(self._resume)
-
-    # -- internal --------------------------------------------------------
-
-    def _resume(self, event: Event) -> None:
-        self.sim._active_process = self
-        self._target = None
+    def _resume(self, value: Any, ok: bool = True) -> None:
+        """Send ``value`` (or throw it, if not ``ok``) and queue what the
+        generator yields next."""
+        sim = self.sim
         while True:
             try:
-                if event._ok:
-                    next_event = self.generator.send(event._value)
+                if ok:
+                    target = self.generator.send(value)
                 else:
-                    event._defused = True
-                    next_event = self.generator.throw(event._value)
+                    target = self.generator.throw(value)
             except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                self.sim._enqueue(self, delay=0.0, priority=NORMAL)
-                break
+                self._trigger(True, stop.value, NORMAL)
+                return
             except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                self.sim._enqueue(self, delay=0.0, priority=NORMAL)
-                break
+                self._trigger(False, exc, NORMAL)
+                return
 
-            if not isinstance(next_event, Event):
-                error = SimulationError(
-                    f"process {self.name!r} yielded a non-event: {next_event!r}"
-                )
-                event = Event(self.sim)
-                event._ok = False
-                event._value = error
-                event._defused = True
+            if type(target) is Timeout and target.sim is sim:
+                sim._push(sim._now + target.delay, NORMAL, self._resume,
+                          target.value)
+                return
+            if not isinstance(target, (Event, Timeout)):
+                value, ok = SimulationError(
+                    f"process {self.name!r} yielded a non-event: {target!r}"
+                ), False
                 continue
-            if next_event.sim is not self.sim:
+            if target.sim is not sim:
                 raise SimulationError(
                     f"process {self.name!r} yielded an event from another simulator"
                 )
-            if next_event._processed:
-                # Already done: loop around synchronously with its value.
-                event = next_event
+            if target._waiters is None:
+                # Already processed: resume synchronously with its value.
+                value, ok = target._value, target._ok
                 continue
-            self._target = next_event
-            next_event.add_callback(self._resume)
-            break
-        self.sim._active_process = None
+            target._waiters.append(self)
+            return
 
     def __repr__(self) -> str:
         status = "alive" if self.is_alive else "dead"
         return f"<Process {self.name!r} {status}>"
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AllOf` and :class:`AnyOf`."""
-
-    __slots__ = ("events", "_n_processed")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = tuple(events)
-        self._n_processed = 0
-        for event in self.events:
-            if event.sim is not sim:
-                raise SimulationError("condition mixes events from different simulators")
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            event.add_callback(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self.events
-            if event._processed and event._ok
-        }
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _on_child(self, event: Event) -> bool:
-        """Handle a child completing; returns True if condition is live."""
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return False
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return False
-        self._n_processed += 1
-        return True
-
-
-class AllOf(_Condition):
-    """Succeeds when *all* child events succeed.
-
-    The value is a dict mapping each child event to its value.  Fails as
-    soon as any child fails.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._on_child(event) and self._n_processed == len(self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Succeeds when the *first* child event succeeds.
-
-    The value is a dict of the child events processed so far.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._on_child(event):
-            self.succeed(self._collect())
-
-
-def _current_generator(sim: "Simulator"):
-    active = sim._active_process
-    return active.generator if active is not None else None
 
 
 class Simulator:
@@ -445,11 +267,8 @@ class Simulator:
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._queue: list = []
-        self._sequence = 0
+        self._seq = 0
         self._events_processed = 0
-        self._active_process: Optional[Process] = None
-
-    # -- properties --------------------------------------------------------
 
     @property
     def now(self) -> float:
@@ -458,99 +277,60 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Events popped and delivered since construction.
+        """Heap entries popped since construction.
 
-        The event count is the kernel-side cost metric of a run (one
-        timeout per op on every engine); the schedule benchmark reports
-        it alongside wall time.
+        The kernel-side cost metric of a run (one timeout per op on
+        every engine); the schedule benchmark reports it alongside wall
+        time.
         """
         return self._events_processed
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
     def pending_events(self) -> int:
-        """Number of events waiting in the queue."""
+        """Number of entries waiting in the heap."""
         return len(self._queue)
-
-    # -- factories ----------------------------------------------------------
 
     def event(self) -> Event:
         """Create a new pending event."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` units from now."""
+        """A delay of ``delay`` units for the process that yields it."""
         return Timeout(self, delay, value)
 
     def process(
-        self, generator: Generator[Event, Any, Any], name: Optional[str] = None
+        self, generator: Generator[Any, Any, Any], name: Optional[str] = None
     ) -> Process:
         """Register ``generator`` as a new simulation process."""
         return Process(self, generator, name=name)
 
-    def schedule_replan(self, at: float, action: Callable[[], None]) -> "Replan":
+    def schedule_replan(self, at: float, action: Callable[[], None]) -> Replan:
         """Schedule ``action()`` at absolute time ``at`` (urgent).
 
         Keeps the run alive until it fires even if all processes idle.
         """
         return Replan(self, at, action)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event succeeding when all ``events`` succeed."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event succeeding at the first success in ``events``."""
-        return AnyOf(self, events)
-
-    # -- scheduling ----------------------------------------------------------
-
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        self._sequence += 1
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, self._sequence, event)
-        )
-
-    def _enqueue_call(self, callback: Callable[[Event], None], event: Event) -> None:
-        """Schedule an immediate delivery of ``event`` to ``callback``."""
-        bridge = Event(self)
-        bridge._ok = event._ok
-        bridge._value = event._value
-        bridge._defused = True
-        bridge.callbacks = []
-        self._enqueue(bridge, delay=0.0, priority=NORMAL)
-        bridge.add_callback(lambda _bridge: callback(event))
+    def _push(self, time: float, priority: int, fn: Callable[[Any], None],
+              arg: Any) -> None:
+        self._seq += 1
+        heapq.heappush(self._queue, (time, priority, self._seq, fn, arg))
 
     def step(self) -> None:
-        """Process exactly one event from the queue."""
+        """Pop and run exactly one heap entry."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        time, _priority, _seq, event = heapq.heappop(self._queue)
-        if time < self._now:
-            raise SimulationError("event scheduled in the past")  # pragma: no cover
-        self._now = time
+        self._now, _priority, _seq, fn, arg = heapq.heappop(self._queue)
         self._events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        elif not event._ok and not event._defused:
-            # A failure nobody listened to: surface it.
-            raise event._value
+        fn(arg)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
         ``until`` may be:
 
-        - ``None``: run until the event queue drains;
-        - a number: run all events up to that time, then set ``now`` to it;
+        - ``None``: run until the heap drains;
+        - a number: run all entries up to that time, then set ``now`` to it;
         - an :class:`Event`: run until that event has been processed and
           return its value (re-raising if the event failed).
         """
@@ -559,34 +339,25 @@ class Simulator:
                 self.step()
             return None
         if isinstance(until, Event):
-            stop = until
-            while not stop._processed:
+            while until._waiters is not None:
                 if not self._queue:
                     raise SimulationError(
                         "simulation ran out of events before `until` triggered"
                     )
                 self.step()
-            if not stop._ok:
-                raise stop._value
-            return stop._value
+            if not until._ok:
+                raise until._value
+            return until._value
         horizon = float(until)
-        if horizon < self._now:
+        if not self._now <= horizon < math.inf:
             raise SimulationError(
-                f"run(until={horizon}) is in the past (now={self._now})"
+                f"run(until={horizon}) must be finite and not in the past "
+                f"(now={self._now})"
             )
         while self._queue and self._queue[0][0] <= horizon:
             self.step()
         self._now = horizon
         return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        The process currently being resumed runs synchronously, so
-        until it yields, no state visible to it can change before this
-        time (the *quiet horizon*).
-        """
-        return self._queue[0][0] if self._queue else float("inf")
 
     def __repr__(self) -> str:
         return f"<Simulator now={self._now} queued={len(self._queue)}>"

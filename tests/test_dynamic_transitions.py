@@ -156,6 +156,16 @@ def test_transition_spec_validation():
         TransitionSpec(at=0.0, action="leave")  # neither group nor tasks
 
 
+@pytest.mark.parametrize("at", [float("nan"), float("inf"), float("-inf"),
+                                "abc"])
+def test_transition_spec_rejects_non_finite_time(at):
+    """A NaN mark fired at an arbitrary point and an infinite one wrote
+    non-standard JSON into the record; a string failed with a bare
+    TypeError.  All are the same ValueError as the other checks."""
+    with pytest.raises(ValueError, match="finite"):
+        TransitionSpec(at=at, action="mark")
+
+
 def test_transition_spec_roundtrip():
     spec = TransitionSpec(
         at=1234.0, action="join", group="g", budget=5e6,
@@ -345,8 +355,9 @@ def test_leave_while_fifo_blocked_across_engines(profiles):
 
 def test_arrival_during_another_tasks_quantum(profiles):
     """A quantum far larger than the replan offset guarantees the
-    arrival lands mid-quantum: the preempted task's pre-pulled ops must
-    hand back identically on every engine."""
+    arrival lands mid-quantum, while another task holds its CPU: the
+    replan fires between two of that task's ops, and every engine
+    gives the same metrics, epochs and transitions."""
     run_all_engines(
         (TransitionSpec(
             at=37_777.0, action="join", group="late",
@@ -360,7 +371,7 @@ def test_arrival_during_another_tasks_quantum(profiles):
 
 def test_replan_on_exact_segment_horizon(profiles):
     """Two replans at the same instant both fire there, in schedule
-    order."""
+    order: the mark closes an empty epoch before the join is admitted."""
     metrics, epochs, transitions = run_all_engines(
         (
             TransitionSpec(at=60_000.0, action="mark"),

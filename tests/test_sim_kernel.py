@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_timeout_advances_clock():
@@ -213,80 +213,6 @@ def test_yielding_non_event_is_an_error():
     assert len(caught) == 1 and "non-event" in caught[0]
 
 
-def test_interrupt_reaches_process():
-    sim = Simulator()
-    log = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100)
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, sim.now))
-
-    def attacker(sim, victim_proc):
-        yield sim.timeout(10)
-        victim_proc.interrupt(cause="preempt")
-
-    victim_proc = sim.process(victim(sim))
-    sim.process(attacker(sim, victim_proc))
-    sim.run()
-    assert log == [("interrupted", "preempt", 10)]
-
-
-def test_interrupt_dead_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_all_of_collects_values():
-    sim = Simulator()
-
-    def proc(sim):
-        t1 = sim.timeout(1, value="a")
-        t2 = sim.timeout(2, value="b")
-        values = yield AllOf(sim, [t1, t2])
-        return sorted(values.values())
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == ["a", "b"]
-    assert sim.now == 2
-
-
-def test_any_of_fires_at_first():
-    sim = Simulator()
-
-    def proc(sim):
-        slow = sim.timeout(50, value="slow")
-        fast = sim.timeout(3, value="fast")
-        values = yield AnyOf(sim, [slow, fast])
-        return list(values.values())
-
-    p = sim.process(proc(sim))
-    sim.run(until=p)
-    assert p.value == ["fast"]
-    assert sim.now == 3
-
-
-def test_empty_all_of_succeeds_immediately():
-    sim = Simulator()
-
-    def proc(sim):
-        value = yield AllOf(sim, [])
-        return value
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == {}
-
-
 def test_process_is_alive_lifecycle():
     sim = Simulator()
 
@@ -297,13 +223,6 @@ def test_process_is_alive_lifecycle():
     assert p.is_alive
     sim.run()
     assert not p.is_alive
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(7)
-    assert sim.peek() == 7
 
 
 def test_step_on_empty_queue_rejected():
@@ -328,3 +247,94 @@ def test_determinism_two_identical_runs():
         return trace
 
     assert build() == build()
+
+
+# -- non-finite times -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_timeout_rejected(bad):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.timeout(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_replan_rejected(bad):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_replan(bad, lambda: None)
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_run_until_rejected(bad):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.run(until=bad)
+    assert sim.now == 0
+
+
+# -- ordering and accounting contracts ------------------------------------------
+
+
+def test_replan_fires_before_same_instant_timeout_scheduled_earlier():
+    sim = Simulator()
+    order = []
+
+    def proc(sim):
+        yield sim.timeout(10)
+        order.append("timeout")
+
+    sim.process(proc(sim))
+    sim.step()  # start the process: its timeout is now queued for t=10
+    sim.schedule_replan(10, lambda: order.append("replan"))
+    sim.run()
+    assert order == ["replan", "timeout"]
+    assert sim.now == 10
+
+
+def test_schedule_replan_in_the_past_rejected():
+    sim = Simulator()
+    sim.run(until=5)
+    with pytest.raises(SimulationError):
+        sim.schedule_replan(4.5, lambda: None)
+
+
+def test_event_waiters_resume_in_wait_order():
+    sim = Simulator()
+    gate = sim.event()
+    order = []
+
+    def waiter(sim, tag, delay):
+        yield sim.timeout(delay)
+        yield gate
+        order.append(tag)
+
+    # Started in one order, waiting in another.
+    sim.process(waiter(sim, "late", 3))
+    sim.process(waiter(sim, "early", 1))
+    sim.process(waiter(sim, "middle", 2))
+    sim.run(until=5)
+    gate.succeed()
+    sim.run()
+    assert order == ["early", "middle", "late"]
+
+
+def test_events_processed_counts_each_entry_once():
+    sim = Simulator()
+    gate = sim.event()
+
+    def sleeper(sim):
+        yield sim.timeout(1)
+        yield sim.timeout(2)
+
+    def waiter(sim):
+        yield gate
+
+    sim.process(sleeper(sim))  # 1 start + 2 timeouts + 1 termination
+    sim.process(waiter(sim))  # 1 start + 1 termination
+    sim.schedule_replan(2, lambda: gate.succeed())  # 1 replan + 1 gate
+    sim.run()
+    assert sim.events_processed == 3 + 1 + 1 + 1 + 1 + 1
+    assert sim.pending_events == 0
