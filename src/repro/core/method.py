@@ -32,6 +32,7 @@ from repro.core.milp import solve_mckp_milp
 from repro.core.mckp import solve_mckp_greedy
 from repro.core.profiling import (
     ProfileResult,
+    check_sizes,
     optimized_item_names,
     profile_miss_curves,
 )
@@ -71,19 +72,7 @@ class MethodConfig:
                 f"profile_repeats must be >= 1, got {self.profile_repeats}"
             )
         if self.sizes is not None:
-            sizes = list(self.sizes)
-            if not sizes:
-                raise OptimizationError("sizes menu must not be empty")
-            for size in sizes:
-                if not isinstance(size, int) or size <= 0:
-                    raise OptimizationError(
-                        f"sizes must be positive integers, got {size!r}"
-                    )
-            for small, large in zip(sizes, sizes[1:]):
-                if large <= small:
-                    raise OptimizationError(
-                        f"sizes must be strictly ascending, got {sizes}"
-                    )
+            check_sizes(self.sizes)
 
 
 def reduction_factor(shared_misses: float, partitioned_misses: float) -> float:

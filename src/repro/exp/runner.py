@@ -8,7 +8,10 @@ records in three phases:
    is measured exactly once, memoized process-wide, and (when a
    :class:`~repro.exp.cache.ProfileCache` is attached) persisted on
    disk, so repeated grid points, whole L2-capacity or solver sweeps,
-   *and separate sessions* never re-profile.
+   *and separate sessions* never re-profile.  A key's sweep is measured
+   as independent columns, one platform run per ``(size, repeat)``
+   (:func:`~repro.core.profiling.profile_column`), which the backend
+   runs in parallel and this process merges.
 2. **Baseline** -- the conventional shared-cache run depends only on
    (workload, platform); it is cached the same way, so method-knob
    sweeps share one baseline simulation.
@@ -43,13 +46,21 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.cake.metrics import RunMetrics
 from repro.cake.platform import Platform
 from repro.core.allocation import optimize_way_assignment
 from repro.core.method import MethodReport
-from repro.core.profiling import ProfileResult
+from repro.core.profiling import (
+    ProfileResult,
+    count_profiling_pass,
+    merge_profile_columns,
+    profile_column,
+    resolve_sizes,
+)
 from repro.errors import ConfigurationError
 from repro.exp.cache import (
     KIND_BASELINE,
@@ -102,9 +113,39 @@ def clear_caches() -> None:
     batch_memo.clear()
 
 
+def _profile_columns(scenario: Scenario) -> List[Tuple[int, int]]:
+    """The ``(size, repeat)`` columns of the scenario's profiling sweep."""
+    sizes = resolve_sizes(scenario.effective_cake, scenario.method.sizes)
+    repeats = scenario.method.profile_repeats
+    return [(size, repeat) for size in sizes for repeat in range(repeats)]
+
+
+def _count_profile(scenario: Scenario) -> None:
+    """Count the one profiling pass measuring a profile key costs.
+
+    Every path that measures a key calls this exactly once: the serial
+    :func:`_compute_profile`, or the task of the key's first column.
+    """
+    count_profiling_pass()
+
+
+def _measure_column(
+    scenario: Scenario, size: int, repeat: int
+) -> ProfileResult:
+    """One column of the scenario's profiling sweep (uncounted)."""
+    return profile_column(
+        scenario.workload.build(), scenario.effective_cake, size, repeat,
+        scenario.method.fifo_policy,
+    )
+
+
 def _compute_profile(scenario: Scenario) -> ProfileResult:
-    """One profiling pass for the scenario's profile key."""
-    return scenario.build_method().profile()
+    """One profiling pass for the scenario's profile key, serially."""
+    columns = _profile_columns(scenario)
+    _count_profile(scenario)
+    return merge_profile_columns({
+        column: _measure_column(scenario, *column) for column in columns
+    })
 
 
 def _compute_baseline(scenario: Scenario) -> RunMetrics:
@@ -376,38 +417,59 @@ def _persist(
         return False
 
 
-def _measure_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """One measurement -- ``kind`` picks profile or baseline work.
+def _write_through(
+    cache_dir: Optional[str], kind: str, key: str, payload: Dict[str, Any]
+) -> bool:
+    """Store one measured payload; returns whether it reached the disk.
 
-    Profiling sweeps and baselines are independent, so the runner
-    submits them as one task list and any backend overlaps them.
+    Unlike :func:`_persist` this records no verification token: the
+    runner's ``on_disk`` set carries the outcome for the current run.
+    """
+    if not cache_dir:
+        return False
+    try:
+        ProfileCache(cache_dir).put(kind, key, payload)
+        return True
+    except OSError:
+        return False  # unwritable cache: the result still returns inline
+
+
+def _measure_task(task: Dict[str, Any]) -> Dict[str, Any]:
+    """One measurement: a profile column or a shared-cache baseline.
+
+    Columns and baselines are independent, so the runner submits them
+    as one task list and any backend overlaps them.  A column returns
+    its one-column payload for the runner to merge and persist; the
+    task flagged ``counts`` (a key's first column) counts the key's
+    profiling pass, in whatever process or thread runs it.
     """
     scenario = Scenario.from_dict(task["scenario"])
     if task["kind"] == KIND_PROFILE:
-        payload = profile_to_payload(_compute_profile(scenario))
-    else:
-        # Baseline envelopes are slim: per-task stats are never read
-        # out of a cached baseline (see run_metrics_to_payload).
-        payload = run_metrics_to_payload(
-            _compute_baseline(scenario), task_stats=False
-        )
-    persisted = False
-    if task.get("cache_dir"):
-        try:
-            ProfileCache(task["cache_dir"]).put(
-                task["kind"], task["key"], payload
-            )
-            persisted = True
-        except OSError:
-            pass  # unwritable cache: the result still returns inline
+        if task["counts"]:
+            _count_profile(scenario)
+        column = _measure_column(scenario, task["size"], task["repeat"])
+        return {
+            "kind": KIND_PROFILE,
+            "key": task["key"],
+            "size": task["size"],
+            "repeat": task["repeat"],
+            "payload": profile_to_payload(column),
+        }
+    # Baseline envelopes are slim: per-task stats are never read out of
+    # a cached baseline (see run_metrics_to_payload).
+    payload = run_metrics_to_payload(
+        _compute_baseline(scenario), task_stats=False
+    )
     return {
-        "kind": task["kind"],
+        "kind": KIND_BASELINE,
         "key": task["key"],
         "payload": payload,
         # The worker knows its own write outcome; the runner uses it to
         # decide whether execute tasks can reference this key by cache
         # path or must carry the payload inline.
-        "persisted": persisted,
+        "persisted": _write_through(
+            task.get("cache_dir"), KIND_BASELINE, task["key"], payload
+        ),
     }
 
 
@@ -586,22 +648,22 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def _make_pool(self) -> ProcessPoolExecutor:
+    def _make_pool(self, workers: int) -> ProcessPoolExecutor:
         # fork (where available) inherits registered custom workloads;
         # spawn would only see import-time registrations.
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=context
-        )
+        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
     def map(self, worker, tasks):
         tasks = list(tasks)
         if not tasks:
             return
-        with self._make_pool() as pool:
+        # A fork pool starts all its workers up front: never fork more
+        # than there are tasks to run.
+        with self._make_pool(min(self.workers, len(tasks))) as pool:
             yield from pool.map(worker, tasks)
 
     def __repr__(self) -> str:
@@ -880,33 +942,50 @@ class ExperimentRunner:
             "baselines_from_disk": baselines_from_disk,
         }
 
-        # One combined measurement phase: profiles and baselines are
-        # independent, so a parallel backend overlaps them freely
-        # instead of draining one kind before starting the other.
+        # One combined measurement phase: every profile column and
+        # every baseline is independent, so a parallel backend overlaps
+        # them freely instead of draining one key or kind at a time.
         backend = self.backend
-        measure_tasks = [
-            {"kind": kind, "key": key, "scenario": scenario.to_dict(),
-             "cache_dir": cache_dir}
-            for kind, missing in (
-                (KIND_PROFILE, missing_profiles),
-                (KIND_BASELINE, missing_baselines),
+        measure_tasks: List[Dict[str, Any]] = []
+        column_count: Dict[str, int] = {}
+        for key, scenario in missing_profiles.items():
+            columns = _profile_columns(scenario)
+            column_count[key] = len(columns)
+            spec = scenario.to_dict()
+            measure_tasks.extend(
+                {"kind": KIND_PROFILE, "key": key, "scenario": spec,
+                 "size": size, "repeat": repeat, "counts": index == 0}
+                for index, (size, repeat) in enumerate(columns)
             )
-            for key, scenario in missing.items()
-        ]
+        measure_tasks.extend(
+            {"kind": KIND_BASELINE, "key": key, "scenario": scenario.to_dict(),
+             "cache_dir": cache_dir}
+            for key, scenario in missing_baselines.items()
+        )
+        columns_by_key: Dict[str, Dict[Tuple[int, int], ProfileResult]] = {}
         for result in backend.map(_measure_task, measure_tasks):
-            if result["kind"] == KIND_PROFILE:
-                _PROFILE_CACHE[result["key"]] = profile_from_payload(
-                    result["payload"]
+            kind, key = result["kind"], result["key"]
+            if kind == KIND_PROFILE:
+                columns = columns_by_key.setdefault(key, {})
+                columns[(result["size"], result["repeat"])] = \
+                    profile_from_payload(result["payload"])
+                if len(columns) < column_count[key]:
+                    continue
+                profile = merge_profile_columns(columns_by_key.pop(key))
+                _PROFILE_CACHE[key] = profile
+                persisted = _write_through(
+                    cache_dir, KIND_PROFILE, key, profile_to_payload(profile)
                 )
             else:
-                _BASELINE_CACHE[result["key"]] = run_metrics_from_payload(
+                _BASELINE_CACHE[key] = run_metrics_from_payload(
                     result["payload"]
                 )
-            if result["persisted"]:
-                # The worker's own write outcome: a key that landed on
-                # disk can be referenced by cache path, anything else
-                # must ship inline to non-memory-sharing backends.
-                on_disk.add((result["kind"], result["key"]))
+                persisted = result["persisted"]
+            if persisted:
+                # A key that landed on disk can be referenced by cache
+                # path; anything else must ship inline to
+                # non-memory-sharing backends.
+                on_disk.add((kind, key))
 
         # Phase 3: execute.  Tasks reference measurements by cache path
         # + key; inline payloads ride along only for keys a non-shared

@@ -39,15 +39,20 @@ def fresh_caches():
 
 @pytest.fixture
 def profile_counter(monkeypatch):
-    """Counts actual profiling passes in this process."""
+    """Counts actual profiling passes in this process.
+
+    ``_count_profile`` is the runner's per-key seam: called once per
+    measured profile key, by the serial path and by the task of a
+    fanned-out key's first column alike.
+    """
     calls = []
-    original = runner_module._compute_profile
+    original = runner_module._count_profile
 
     def counting(scenario):
         calls.append(scenario.profile_key)
         return original(scenario)
 
-    monkeypatch.setattr(runner_module, "_compute_profile", counting)
+    monkeypatch.setattr(runner_module, "_count_profile", counting)
     return calls
 
 
@@ -290,6 +295,21 @@ def test_backend_map_yields_results_in_task_order():
 def _index_worker(task):
     """Module-level so the process pool can pickle it."""
     return task["index"]
+
+
+def test_process_pool_forks_no_more_workers_than_tasks():
+    import multiprocessing
+
+    from repro.exp import ProcessPoolBackend
+
+    backend = ProcessPoolBackend(workers=4)
+    for n_tasks, expected in ((1, 1), (6, 4)):
+        before = set(multiprocessing.active_children())
+        tasks = [{"index": i} for i in range(n_tasks)]
+        alive = []
+        for _result in backend.map(_index_worker, tasks):
+            alive.append(len(set(multiprocessing.active_children()) - before))
+        assert alive[0] == expected
 
 
 def test_async_backend_streams_results_before_a_failure():
